@@ -22,11 +22,18 @@ constexpr int kTagResult = 13;
 
 constexpr float kDt = 1.0e-3f;
 
+/// Exponent of bin k on the compressed volume-doubling grid v_k = 2^(k/8).
+/// Capped at 126, the largest exponent for which v_k and 1/v_k are both
+/// normal floats: at the paper's 2290 bins, 2^(k/8) overflows float past
+/// bin 1023, and inf * 0 poisons the whole distribution. Grids of up to
+/// 1024 bins never reach the cap.
+int grid_exponent(std::size_t k) { return std::min(static_cast<int>(k) / 8, 126); }
+
 /// Brownian-style collision kernel entry (free-molecular regime shape) for
-/// the volume-doubling sectional grid v_k = 2^k, scaled by temperature.
+/// the volume-doubling sectional grid, scaled by temperature.
 float collision_coefficient(std::size_t i, std::size_t j, float temperature) {
-  const float vi = std::ldexp(1.0f, static_cast<int>(i) / 8);  // compressed grid
-  const float vj = std::ldexp(1.0f, static_cast<int>(j) / 8);
+  const float vi = std::ldexp(1.0f, grid_exponent(i));
+  const float vj = std::ldexp(1.0f, grid_exponent(j));
   const float di = std::cbrt(vi);
   const float dj = std::cbrt(vj);
   const float dsum = di + dj;
@@ -69,8 +76,7 @@ void coagulation_body(const ocl::NDRange&, const ocl::KernelArgs& args) {
         } else {
           // v_i + v_j between v_j and v_{j+1}: split number-fraction
           // x = v_i / v_j so mass is conserved.
-          const float x =
-              std::ldexp(1.0f, static_cast<int>(i) / 8 - static_cast<int>(j) / 8);
+          const float x = std::ldexp(1.0f, grid_exponent(i) - grid_exponent(j));
           out[j] += rate * (1.0f - x);
           out[std::min(j + 1, nbins - 1)] += rate * x;
         }
@@ -252,7 +258,7 @@ void run_root(mpi::Rank& rank, const Config& cfg, HostState& state, RunSummary& 
     for (std::size_t k = 0; k < state.nbins; ++k) {
       const double v = state.n[c * state.nbins + k];
       checksum += v * static_cast<double>(k % 97 + 1);
-      mass += v * std::ldexp(1.0, static_cast<int>(k) / 8);
+      mass += v * std::ldexp(1.0, grid_exponent(k));
     }
   }
   summary.distribution_checksum = checksum;

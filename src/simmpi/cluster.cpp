@@ -82,23 +82,14 @@ class ProgressDriverService {
       // race. Everything here is wall-clock-only: the envelopes' virtual
       // stamps were fixed at post time.
       for (ClusterCore* core : cores_) {
-        // Cooperative (fiber-mode) clusters get their flush+drain backstop
-        // from the scheduler's idle hook instead: a wall-clock flush here
-        // would race the deterministic cooperative schedule and perturb the
-        // wire post order. Deadline rescue stays — it is wall-clock by
-        // definition (the real-time grace of an armed deadline).
-        if (!core->cooperative.load(std::memory_order_relaxed)) {
-          for (SendCoalescer& co : core->coalescers) co.flush_all(FlushTrigger::tick);
-          for (Mailbox& mb : core->mailboxes) mb.drain_completions();
-        }
-        // Job cancellation is wall-clock by definition, like deadline
-        // rescue: fail the cancelled job's still-pending operations so its
-        // blocked ranks wake and unwind.
-        if (core->job != nullptr && core->job->cancel_requested()) {
-          core->fail_pending_as_cancelled();
-        }
-        std::unique_lock dl(core->deadline_mutex);
-        core->rescue_stale_deadlines(dl);
+        // Cooperative (fiber-mode) clusters get the wire part of the
+        // backstop from the scheduler's idle task instead: a wall-clock
+        // flush here would race the deterministic cooperative schedule and
+        // perturb the wire post order. Job cancellation and deadline rescue
+        // stay — both are wall-clock by definition (the latter is the
+        // real-time grace of an armed deadline).
+        core->backstop(!core->cooperative.load(std::memory_order_relaxed));
+        core->rescue_stale_deadlines();
       }
     }
   }
@@ -112,32 +103,40 @@ class ProgressDriverService {
 
 }  // namespace
 
+void ClusterCore::backstop(bool wire) {
+  if (wire) {
+    for (SendCoalescer& co : coalescers) co.flush_all(FlushTrigger::tick);
+    for (Mailbox& mb : mailboxes) mb.drain_completions();
+  }
+  // Fail the cancelled job's still-pending operations so its blocked ranks
+  // wake and unwind.
+  if (job != nullptr && job->cancel_requested()) fail_pending_as_cancelled();
+}
+
 void ClusterCore::register_deadline(std::shared_ptr<RequestState> state) {
   std::lock_guard lock(deadline_mutex);
   armed_requests.push_back(std::move(state));
-  // With the progress engine on, the shared driver's tick already rescues
-  // stale deadlines for this core — no dedicated reaper thread needed.
-  if (!progress && !deadline_reaper.joinable() && !reaper_stop) {
-    deadline_reaper = std::thread([this] {
-      log::set_thread_label("deadline-reaper");
-      deadline_reaper_loop();
-    });
-  }
 }
 
-void ClusterCore::rescue_stale_deadlines(std::unique_lock<std::mutex>& lock) {
+void ClusterCore::rescue_stale_deadlines() {
   std::vector<std::shared_ptr<RequestState>> live;
-  live.reserve(armed_requests.size());
-  for (auto& weak : armed_requests) {
-    if (auto s = weak.lock()) live.push_back(std::move(s));
+  {
+    std::lock_guard lock(deadline_mutex);
+    live.reserve(armed_requests.size());
+    for (auto& weak : armed_requests) {
+      if (auto s = weak.lock()) live.push_back(std::move(s));
+    }
   }
   // Rescue outside the registry lock: timeout callbacks may re-enter the
   // cluster (fire events, post follow-up operations).
-  lock.unlock();
   const auto grace = deadline_grace();
   const auto now = std::chrono::steady_clock::now();
-  for (auto& s : live) s->rescue_if_stale(now, grace);
-  lock.lock();
+  for (auto& s : live) {
+    if (s->rescue_if_stale(now, grace) && obs::metrics_enabled()) {
+      progress_metrics().rescued_waits.add();
+    }
+  }
+  std::lock_guard lock(deadline_mutex);
   std::erase_if(armed_requests, [](const std::weak_ptr<RequestState>& weak) {
     const auto s = weak.lock();
     return s == nullptr || s->done();
@@ -177,41 +176,17 @@ void ClusterCore::fail_pending_as_cancelled() {
   }
 }
 
-void ClusterCore::deadline_reaper_loop() {
-  std::unique_lock lock(deadline_mutex);
-  while (!reaper_stop) {
-    // Tick a few times per grace period: a stale operation is rescued at
-    // most ~1.25 grace after arming. The scan is cheap — only deadline-armed
-    // operations ever register, and the set is pruned as they resolve.
-    const auto tick = std::max<std::chrono::milliseconds>(deadline_grace() / 4,
-                                                          std::chrono::milliseconds(10));
-    if (deadline_cv.wait_for(lock, tick, [&] { return reaper_stop; })) break;
-    rescue_stale_deadlines(lock);
-  }
-}
-
 void ClusterCore::start_progress_driver() {
   ProgressDriverService::instance().add(this);
 }
 
 void ClusterCore::stop_progress_driver() {
   ProgressDriverService::instance().remove(this);
-  // One final flush+drain pass after deregistration, so no envelope is left
-  // stranded in a coalescer at teardown (the service can no longer be
-  // mid-pass on this core once remove() returns).
-  for (SendCoalescer& co : coalescers) co.flush_all(FlushTrigger::tick);
-  for (Mailbox& mb : mailboxes) mb.drain_completions();
-  std::unique_lock lock(deadline_mutex);
-  rescue_stale_deadlines(lock);
-}
-
-void ClusterCore::stop_deadline_reaper() {
-  {
-    std::lock_guard lock(deadline_mutex);
-    reaper_stop = true;
-  }
-  deadline_cv.notify_all();
-  if (deadline_reaper.joinable()) deadline_reaper.join();
+  // One final pass after deregistration, so no envelope is left stranded in
+  // a coalescer at teardown (the service can no longer be mid-pass on this
+  // core once remove() returns).
+  backstop(/*wire=*/true);
+  rescue_stale_deadlines();
 }
 
 }  // namespace detail
@@ -313,14 +288,14 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       }
     }
   }
-  for (int n = 0; n < options.nranks; ++n) core.mailboxes.emplace_back(*core.network, n);
-  core.progress = detail::progress_config().enabled;
-  if (core.progress) {
-    // One coalescer per source node, sized before any rank thread exists;
-    // the driver starts eagerly so completions progress from the first post.
-    for (int n = 0; n < options.nranks; ++n) core.coalescers.emplace_back();
-    core.start_progress_driver();
+  // One mailbox and one coalescer per node, sized before any rank thread
+  // exists; the driver starts eagerly so completions progress from the
+  // first post.
+  for (int n = 0; n < options.nranks; ++n) {
+    core.mailboxes.emplace_back(*core.network, n);
+    core.coalescers.emplace_back();
   }
+  core.start_progress_driver();
 
   // Per-rank blocked-site mirrors (watchdog diagnostics). Owned by the core
   // so they outlive the rank contexts that write them.
@@ -383,47 +358,32 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     sched::note_progress();
   };
 
-  const sched::Mode mode = sched::mode_from_env();
   std::vector<std::thread> threads;
   std::optional<sched::Scheduler> scheduler;
   sched::Scheduler* external = options.scheduler;
+  sched::Scheduler* fibers = external;
+  if (fibers == nullptr && sched::mode_from_env() == sched::Mode::fibers) {
+    fibers = &scheduler.emplace(sched::Scheduler::Options{});
+  }
+  if (fibers != nullptr) {
+    // Ranks run as fibers. The idle task is the cooperative stand-in for the
+    // progress driver's wall-clock backstop: it runs only at scheduler
+    // quiescence, serialized with fiber execution, so batch composition
+    // stays a function of the cooperative schedule rather than of a racing
+    // real-time tick. It is registered for exactly the run's lifetime;
+    // `&core` keys its removal.
+    core.cooperative.store(true, std::memory_order_relaxed);
+    fibers->add_idle_task(&core, [&core] { core.backstop(/*wire=*/true); });
+  }
   if (external != nullptr) {
     // Service mode: ranks run as job-tagged fibers on the shared persistent
-    // scheduler. The per-job idle task is the cooperative liveness backstop
-    // (coalescer flush + completion drain + cancel rescue), registered for
-    // exactly the job's lifetime; `&core` keys its removal.
-    core.cooperative.store(true, std::memory_order_relaxed);
-    external->add_idle_task(&core, [&core] {
-      if (core.progress) {
-        for (detail::SendCoalescer& co : core.coalescers) {
-          co.flush_all(detail::FlushTrigger::tick);
-        }
-        for (detail::Mailbox& mb : core.mailboxes) mb.drain_completions();
-      }
-      if (core.job != nullptr && core.job->cancel_requested()) {
-        core.fail_pending_as_cancelled();
-      }
-    });
+    // scheduler.
     const std::string tag = "job" + std::to_string(options.job_tag) + ".rank";
     for (int r = 0; r < options.nranks; ++r) {
       external->spawn([&rank_main, r] { rank_main(r); }, tag + std::to_string(r),
                       options.job_tag);
     }
-  } else if (mode == sched::Mode::fibers) {
-    core.cooperative.store(true, std::memory_order_relaxed);
-    scheduler.emplace(sched::Scheduler::Options{});
-    if (core.progress) {
-      // Cooperative stand-in for the progress driver's wall-clock coalescer
-      // flush: run the backstop only at scheduler quiescence, serialized
-      // with fiber execution, so batch composition stays a function of the
-      // cooperative schedule rather than of a racing real-time tick.
-      scheduler->set_idle_hook([&core] {
-        for (detail::SendCoalescer& co : core.coalescers) {
-          co.flush_all(detail::FlushTrigger::tick);
-        }
-        for (detail::Mailbox& mb : core.mailboxes) mb.drain_completions();
-      });
-    }
+  } else if (scheduler) {
     for (int r = 0; r < options.nranks; ++r) {
       scheduler->spawn([&rank_main, r] { rank_main(r); }, "rank" + std::to_string(r));
     }
@@ -506,14 +466,13 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     std::lock_guard lock(core.aux_mutex);
     for (auto& s : core.aux_services) s.join();
   }
-  // Detach the per-job idle task before `core` is torn down; removal blocks
-  // while an idle pass is mid-flight, so the task never touches a dead core.
-  if (external != nullptr) external->remove_idle_task(&core);
-  // The shared driver and the reaper dereference request states that the
-  // mailboxes keep alive; detach from the driver and stop the reaper before
-  // `core` (and everything it owns) is torn down.
-  if (core.progress) core.stop_progress_driver();
-  core.stop_deadline_reaper();
+  // Detach the idle task before `core` is torn down; removal blocks while an
+  // idle pass is mid-flight, so the task never touches a dead core.
+  if (fibers != nullptr) fibers->remove_idle_task(&core);
+  // The shared driver dereferences request states that the mailboxes keep
+  // alive; detach from it before `core` (and everything it owns) is torn
+  // down.
+  core.stop_progress_driver();
   if (core.faults) result.faults = core.faults->counters();
   // CLMPI_TRACE=<path>: auto-export the env-attached tracer as Perfetto
   // JSON. Last run wins when a process runs several clusters — decided by

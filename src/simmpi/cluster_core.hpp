@@ -2,12 +2,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -41,34 +39,30 @@ struct ClusterCore {
   std::deque<Mailbox> mailboxes;  ///< one per node, indexed by global node id
   std::atomic<int> next_context{1};
 
-  /// Progress engine (progress.hpp). `progress` snapshots the config's
-  /// master switch at run start; with it off the cluster behaves exactly as
-  /// before the engine existed (no coalescing, lazy deadline reaper).
-  bool progress{false};
-  std::deque<SendCoalescer> coalescers;  ///< one per SOURCE node
+  /// Progress engine (progress.hpp): one send coalescer per SOURCE node.
+  std::deque<SendCoalescer> coalescers;
 
   /// True while this cluster runs under the cooperative fiber scheduler.
   /// The progress driver's wall-clock tick must then leave the coalescers
   /// alone: a real-time flush races the (deterministic) cooperative schedule
-  /// and perturbs wire post order. The scheduler's idle hook flushes instead,
-  /// at quiescence points serialized with fiber execution.
+  /// and perturbs wire post order. The scheduler's idle task runs the
+  /// backstop instead, at quiescence points serialized with fiber execution.
   std::atomic<bool> cooperative{false};
 
-  /// Put every batch queued by `node` on the wire (blocking-wait hook).
-  void flush_sends(int node) {
-    if (progress) coalescers[static_cast<std::size_t>(node)].flush_all(FlushTrigger::wait);
-  }
+  /// The liveness backstop, run by the progress driver's tick, the fiber
+  /// scheduler's idle task and teardown. With `wire` set it puts every
+  /// queued batch on the wire and drains mailbox completion queues; then it
+  /// fails a cancelled job's still-pending operations.
+  void backstop(bool wire);
 
-  /// Register with the progress driver (only when `progress` is set): a
-  /// process-wide service thread that every ProgressConfig::driver_tick
-  /// flushes all coalescers, drains mailbox completion queues, and fires
-  /// deadline rescues — so no rank has to block to make a peer's operation
-  /// complete. One shared thread services every live cluster, so a run
-  /// never pays a driver spawn + join. With the engine on, register_deadline
-  /// never starts a reaper thread (the driver's tick already rescues).
+  /// Register with the progress driver: a process-wide service thread that
+  /// every ProgressConfig::driver_tick runs the backstop (without the wire
+  /// part for cooperative clusters) and rescues stale deadlines — so no rank
+  /// has to block to make a peer's operation complete. One shared thread
+  /// services every live cluster, so a run never pays a driver spawn + join.
   void start_progress_driver();
-  /// Deregister and run one final flush+drain+rescue pass; must run before
-  /// the mailboxes are torn down.
+  /// Deregister and run one final backstop + deadline-rescue pass; must run
+  /// before the mailboxes are torn down.
   void stop_progress_driver();
 
   /// RMA window-creation rendezvous slots, keyed (context << 32) | win_seq.
@@ -96,45 +90,34 @@ struct ClusterCore {
   /// deque: atomics are immovable.
   std::deque<std::atomic<const char*>> blocked_sites;
 
-  /// Deadline reaper: the liveness side of per-operation deadlines for
-  /// operations nothing ever blocks on (the clMPI runtime's callback-driven
-  /// commands). Armed requests register here; a lazily started thread
-  /// periodically fails any that stayed pending past the real-time grace,
-  /// at their VIRTUAL deadline (RequestState::rescue_if_stale) — so a
-  /// deadline surfaces as CLMPI_TIMEOUT even when no thread is waiting,
-  /// instead of the watchdog killing the run.
+  /// Liveness side of per-operation deadlines. Every deadline-armed request
+  /// registers here; the progress driver's tick fails any that stayed
+  /// pending past the real-time grace, at their VIRTUAL deadline
+  /// (RequestState::rescue_if_stale) — so a deadline surfaces as
+  /// CLMPI_TIMEOUT whether or not a thread waits on it, instead of the
+  /// watchdog killing the run.
   void register_deadline(std::shared_ptr<RequestState> state);
-  /// Stop and join the reaper; must run before the mailboxes are torn down.
-  void stop_deadline_reaper();
 
   std::mutex deadline_mutex;
-  std::condition_variable deadline_cv;
   std::vector<std::weak_ptr<RequestState>> armed_requests;
-  std::thread deadline_reaper;
-  bool reaper_stop{false};
 
-  /// Shared rescue pass of the reaper loop and the progress driver's tick:
-  /// rescue stale deadline-armed requests outside the registry lock, then
-  /// prune resolved entries. `lock` (on deadline_mutex) is held on entry and
-  /// on return.
-  void rescue_stale_deadlines(std::unique_lock<std::mutex>& lock);
+  /// The driver's rescue pass: rescue stale deadline-armed requests outside
+  /// the registry lock (counting progress.rescued_waits once per rescue),
+  /// then prune resolved entries.
+  void rescue_stale_deadlines();
 
   /// Cancellation liveness (service jobs only; `job` must be set). Every
   /// point-to-point operation registers its request state at post time; when
   /// the job's cancel flag is up, fail_pending_as_cancelled fails every
   /// still-pending one with CancelledError so blocked waiters wake instead
-  /// of hanging on peers that already unwound. Called from the progress
-  /// driver's tick and the scheduler's per-job idle task — both wall-clock
-  /// backstops; the cooperative cancellation points in the post paths do the
-  /// prompt part.
+  /// of hanging on peers that already unwound. Called from backstop() — a
+  /// wall-clock backstop; the cooperative cancellation points in the post
+  /// paths do the prompt part.
   void register_pending(std::shared_ptr<RequestState> state);
   void fail_pending_as_cancelled();
 
   std::mutex pending_mutex;
   std::vector<std::weak_ptr<RequestState>> pending_ops;
-
- private:
-  void deadline_reaper_loop();
 };
 
 }  // namespace clmpi::mpi::detail

@@ -107,28 +107,26 @@ Request Comm::post_send(std::span<const std::byte> data, int dst, int tag,
   env.sreq = state;
   // Arm the deadline BEFORE posting: completion may race this thread the
   // moment the envelope is visible, and the clamp must already be in place.
-  // Registration with the reaper gives the deadline liveness even when no
-  // thread ever blocks on the request (callback-driven runtime commands).
+  // Registration with the progress driver gives the deadline liveness
+  // whether or not a thread ever blocks on the request.
   if (opts.deadline > vt::Duration{}) {
     state->arm_deadline(ready + opts.deadline);
     core_->register_deadline(state);
   }
   detail::Mailbox& box = core_->mailboxes[static_cast<std::size_t>(node_of(dst))];
-  if (core_->progress) {
-    detail::SendCoalescer& co = core_->coalescers[static_cast<std::size_t>(env.src_node)];
-    // Hint set strictly before the envelope is visible: the wait path reads
-    // it without synchronization.
-    state->set_flush_hint(&co);
-    if (coalescable && env.eager &&
-        env.bytes <= detail::progress_config().coalesce_max_msg && default_opts(opts)) {
-      co.offer(box, std::move(env));
-      return Request(state);
-    }
-    // A direct post overtaking a queued batch to the same (mailbox, context)
-    // would reorder arrival stamps against program order, which wildcard
-    // receives can observe: flush that key first.
-    if (co.has_pending()) co.flush_key(box, context_);
+  detail::SendCoalescer& co = core_->coalescers[static_cast<std::size_t>(env.src_node)];
+  // Hint set strictly before the envelope is visible: the wait path reads it
+  // without synchronization.
+  state->set_flush_hint(&co);
+  if (coalescable && env.eager && detail::progress_config().coalescable_size(env.bytes) &&
+      default_opts(opts)) {
+    co.offer(box, std::move(env));
+    return Request(state);
   }
+  // A direct post overtaking a queued batch to the same (mailbox, context)
+  // would reorder arrival stamps against program order, which wildcard
+  // receives can observe: flush that key first.
+  if (co.has_pending()) co.flush_key(box, context_);
   box.post_send(std::move(env));
   return Request(state);
 }
@@ -151,13 +149,11 @@ Request Comm::post_recv(std::span<std::byte> data, int src, int tag, vt::TimePoi
     state->arm_deadline(ready + opts.deadline);
     core_->register_deadline(state);
   }
-  if (core_->progress) {
-    // A blocked receiver's own queued sends may be exactly what its peer is
-    // waiting for before answering: hint the receiver's coalescer so the
-    // wait path flushes it.
-    state->set_flush_hint(
-        &core_->coalescers[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])]);
-  }
+  // A blocked receiver's own queued sends may be exactly what its peer is
+  // waiting for before answering: hint the receiver's coalescer so the wait
+  // path flushes it.
+  state->set_flush_hint(
+      &core_->coalescers[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])]);
   core_->mailboxes[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])]
       .post_recv(std::move(pr));
   return Request(state);
@@ -214,7 +210,7 @@ void Comm::sendrecv(std::span<const std::byte> send_data, int dst, int send_tag,
 struct PersistentRequest::Impl {
   detail::ClusterCore* core{nullptr};
   detail::Mailbox* box{nullptr};  ///< destination (send) or own (recv) mailbox
-  detail::SendCoalescer* co{nullptr};  ///< own node's coalescer, when progress is on
+  detail::SendCoalescer* co{nullptr};  ///< own node's coalescer
   bool is_send{false};
   bool coalescable{false};
   vt::Duration deadline{};
@@ -239,12 +235,10 @@ PersistentRequest Comm::send_init(std::span<const std::byte> data, int dst, int 
   impl->env.eager = data.size() <= core_->network->model().eager_threshold;
   impl->env.bw_cap = opts.wire_bw_cap;
   impl->env.wire_decomp = opts.wire_decomp;
-  if (core_->progress) {
-    impl->co = &core_->coalescers[static_cast<std::size_t>(impl->env.src_node)];
-    impl->coalescable = impl->env.eager &&
-                        impl->env.bytes <= detail::progress_config().coalesce_max_msg &&
-                        default_opts(opts);
-  }
+  impl->co = &core_->coalescers[static_cast<std::size_t>(impl->env.src_node)];
+  impl->coalescable = impl->env.eager &&
+                      detail::progress_config().coalescable_size(impl->env.bytes) &&
+                      default_opts(opts);
   if (obs::metrics_enabled()) detail::progress_metrics().persistent_inits.add();
   return PersistentRequest(std::move(impl));
 }
@@ -264,10 +258,8 @@ PersistentRequest Comm::recv_init(std::span<std::byte> data, int src, int tag,
   impl->pr.buffer = data;
   impl->pr.bw_cap = opts.wire_bw_cap;
   impl->pr.wire_decomp = opts.wire_decomp;
-  if (core_->progress) {
-    impl->co =
-        &core_->coalescers[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])];
-  }
+  impl->co =
+      &core_->coalescers[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])];
   if (obs::metrics_enabled()) detail::progress_metrics().persistent_inits.add();
   return PersistentRequest(std::move(impl));
 }
@@ -276,7 +268,7 @@ Request PersistentRequest::start_at(vt::TimePoint ready, bool coalescable) {
   CLMPI_REQUIRE(impl_ != nullptr, "start() on a null persistent request");
   auto state = detail::make_request_state();
   tenant_admit_p2p(impl_->core, state, "persistent-start");
-  if (impl_->co != nullptr) state->set_flush_hint(impl_->co);
+  state->set_flush_hint(impl_->co);
   if (obs::metrics_enabled()) detail::progress_metrics().persistent_starts.add();
   if (impl_->is_send) {
     detail::Envelope env = impl_->env;
@@ -289,9 +281,7 @@ Request PersistentRequest::start_at(vt::TimePoint ready, bool coalescable) {
     if (coalescable && impl_->coalescable) {
       impl_->co->offer(*impl_->box, std::move(env));
     } else {
-      if (impl_->co != nullptr && impl_->co->has_pending()) {
-        impl_->co->flush_key(*impl_->box, env.context);
-      }
+      if (impl_->co->has_pending()) impl_->co->flush_key(*impl_->box, env.context);
       impl_->box->post_send(std::move(env));
     }
   } else {

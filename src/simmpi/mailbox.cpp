@@ -587,8 +587,20 @@ void Mailbox::deliver(Envelope& env, PostedRecv& pr, std::vector<Completion>& ou
     return;
   }
 #endif
-  CLMPI_REQUIRE(env.bytes <= pr.buffer.size(),
-                "message truncation: received message larger than the posted buffer");
+  if (env.bytes > pr.buffer.size()) {
+    // Truncation fails BOTH endpoints with a defined error, like the
+    // decomposition check above: a throw here would land on whichever thread
+    // delivers (the sender's, when the receive was posted first), and the
+    // other endpoint would hang in its wait.
+    auto err = std::make_exception_ptr(PreconditionError(
+        "message truncation: received message larger than the posted buffer (tag " +
+        std::to_string(env.tag) + ", " + std::to_string(env.bytes) + " B into " +
+        std::to_string(pr.buffer.size()) + " B)"));
+    const vt::TimePoint when = vt::max(env.post_time, pr.post_time);
+    if (!env.injected) out.push_back({env.sreq, when, MsgStatus{}, err});
+    out.push_back({pr.rreq, when, MsgStatus{}, err});
+    return;
+  }
   const MsgStatus st{env.src_rank, env.tag, env.bytes};
 
   if (env.eager) {

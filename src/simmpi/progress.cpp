@@ -1,18 +1,10 @@
 #include "simmpi/progress.hpp"
 
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 namespace clmpi::mpi::detail {
 
 namespace {
-
-bool progress_env_default() {
-  const char* env = std::getenv("CLMPI_PROGRESS");
-  if (env == nullptr || *env == '\0') return true;
-  return std::string_view(env) != "0";
-}
 
 obs::Counter& trigger_counter(ProgressMetrics& m, FlushTrigger t) {
   switch (t) {
@@ -29,11 +21,7 @@ obs::Counter& trigger_counter(ProgressMetrics& m, FlushTrigger t) {
 }  // namespace
 
 ProgressConfig& progress_config() {
-  static ProgressConfig config = [] {
-    ProgressConfig c;
-    c.enabled = progress_env_default();
-    return c;
-  }();
+  static ProgressConfig config;
   return config;
 }
 

@@ -1,9 +1,10 @@
 // Progress engine (internal): configuration, counters, and the send-side
 // small-message coalescer.
 //
-// The engine has three wall-clock-only jobs — none of them may move a single
-// virtual timestamp (the chaos suite re-runs with the engine off and asserts
-// bit-identical hashes/makespans/fault counters):
+// Every cluster runs the engine. It has three wall-clock-only jobs — none of
+// them may move a single virtual timestamp (the neutrality suites compare
+// coalesced against direct posting and assert bit-identical
+// hashes/makespans/fault counters):
 //
 //   * Continuations (request.hpp): completion callbacks chain async stages
 //     without a thread parked in wait(); the blocking waits are thin shims.
@@ -48,15 +49,11 @@
 
 namespace clmpi::mpi::detail {
 
-/// Engine knobs. Initialized once from the environment (CLMPI_PROGRESS:
-/// unset or anything but "0" = enabled); tests mutate the singleton BETWEEN
-/// cluster runs only (rank threads read it without synchronization).
+/// Engine knobs. Tests mutate the singleton BETWEEN cluster runs only (rank
+/// threads read it without synchronization).
 struct ProgressConfig {
-  /// Master switch: progress driver + coalescing. With the engine off the
-  /// simulator behaves exactly as before this subsystem existed (lazy
-  /// deadline reaper, every send posted directly).
-  bool enabled{true};
-  /// Only messages at or below this payload size are coalescable.
+  /// Only messages at or below this payload size are coalescable; 0 posts
+  /// every send directly (zero-byte messages included).
   std::size_t coalesce_max_msg{4096};
   /// Flush triggers: batch message count and total payload bytes.
   std::size_t coalesce_max_count{32};
@@ -66,9 +63,14 @@ struct ProgressConfig {
   vt::Duration coalesce_horizon{vt::microseconds(100.0)};
   /// Real-time cadence of the progress driver thread.
   std::chrono::milliseconds driver_tick{1};
+
+  /// Whether a payload of `bytes` is small enough to coalesce.
+  [[nodiscard]] bool coalescable_size(std::size_t bytes) const noexcept {
+    return coalesce_max_msg > 0 && bytes <= coalesce_max_msg;
+  }
 };
 
-/// Mutable process-wide config singleton (env-initialized on first use).
+/// Mutable process-wide config singleton.
 ProgressConfig& progress_config();
 
 /// progress.* counter handles, resolved once and leaked (same pattern as the
@@ -116,7 +118,7 @@ enum class FlushTrigger { count, bytes, horizon, wait, direct, tick };
 class SendCoalescer {
  public:
   /// Queue `env` for a batched post to `box`. The caller has already decided
-  /// the message is coalescable (progress on, eager, small, default opts).
+  /// the message is coalescable (eager, small, default opts).
   /// May flush synchronously when a threshold trips.
   void offer(Mailbox& box, Envelope env);
 

@@ -229,8 +229,8 @@ bool test_all(std::span<Request> requests, vt::Clock& clock) {
 
 namespace detail {
 
-/// Read per call: the value only matters on paths that are already blocking
-/// (or on the reaper's slow tick), and tests override it via the env.
+/// Read per call: the value only matters on the progress driver's rescue
+/// pass, and tests override it via the env.
 std::chrono::milliseconds deadline_grace() {
   if (const char* env = std::getenv("CLMPI_DEADLINE_GRACE_MS");
       env != nullptr && *env != '\0') {
@@ -246,19 +246,32 @@ std::exception_ptr RequestState::make_timeout_error() const {
       " s (virtual) exceeded"));
 }
 
-void RequestState::settle(vt::TimePoint when, MsgStatus st, std::exception_ptr error) {
+bool RequestState::resolve(vt::TimePoint when, MsgStatus st, std::exception_ptr error,
+                           Rescue rescue) {
   std::vector<std::function<void(vt::TimePoint, const MsgStatus&,
                                  const std::exception_ptr&)>>
       to_run;
-  std::exception_ptr err;
   bool notify = false;
   {
     std::lock_guard lock(mutex_);
-    // A real resolution can race the deadline rescue; the rescue won, and
-    // the operation's outcome was already fixed at the deadline.
-    if (done_ && timed_out_) return;
-    CLMPI_REQUIRE(!done_, "request completed twice");
-    if (deadline_armed_ && when > deadline_) {
+    if (done_) {
+      // A real resolution can race a rescue; the rescue won, and the
+      // operation's outcome was already fixed. A rescue that lost the race
+      // is a no-op.
+      CLMPI_REQUIRE(rescue != Rescue::none || timed_out_, "request completed twice");
+      return false;
+    }
+    if (rescue == Rescue::deadline && !deadline_armed_) return false;
+    if (rescue != Rescue::none) {
+      // The operation never resolved: fail it at its VIRTUAL deadline (at
+      // virtual time zero for a cancel without one; sync_to is monotone, so
+      // waiters' clocks never move backwards), so the timeline stays
+      // schedule-independent.
+      when = deadline_armed_ ? deadline_ : vt::TimePoint{};
+      st = MsgStatus{};
+      if (rescue == Rescue::deadline) error = make_timeout_error();
+      timed_out_ = true;
+    } else if (deadline_armed_ && when > deadline_) {
       // Deterministic clamp: the operation resolved past its deadline, so
       // the observable outcome is a timeout AT the deadline — the same
       // outcome the rescue path produces, whichever fires first.
@@ -270,8 +283,7 @@ void RequestState::settle(vt::TimePoint when, MsgStatus st, std::exception_ptr e
     done_ = true;
     completion_ = when;
     status_ = st;
-    error_ = std::move(error);
-    err = error_;
+    error_ = error;
     to_run.swap(callbacks_);
     // Release-publish AFTER the completion fields: a lock-free done() reader
     // may then read them without the mutex.
@@ -282,15 +294,16 @@ void RequestState::settle(vt::TimePoint when, MsgStatus st, std::exception_ptr e
   }
   if (notify) cv_.notify_all();
   sched::note_progress();
-  for (auto& fn : to_run) fn(when, st, err);
+  for (auto& fn : to_run) fn(when, st, error);
+  return true;
 }
 
 void RequestState::complete(vt::TimePoint when, const MsgStatus& st) {
-  settle(when, st, nullptr);
+  resolve(when, st, nullptr, Rescue::none);
 }
 
 void RequestState::fail(vt::TimePoint when, std::exception_ptr error) {
-  settle(when, MsgStatus{}, std::move(error));
+  resolve(when, MsgStatus{}, std::move(error), Rescue::none);
 }
 
 void RequestState::arm_deadline(vt::TimePoint deadline) {
@@ -301,70 +314,17 @@ void RequestState::arm_deadline(vt::TimePoint deadline) {
   armed_at_ = std::chrono::steady_clock::now();
 }
 
-bool RequestState::rescue_timeout() {
-  std::vector<std::function<void(vt::TimePoint, const MsgStatus&,
-                                 const std::exception_ptr&)>>
-      to_run;
-  std::exception_ptr err;
-  bool notify = false;
-  {
-    std::lock_guard lock(mutex_);
-    if (!deadline_armed_ || done_) return false;
-    // The operation never resolved: fail it at its VIRTUAL deadline, so the
-    // timeline stays schedule-independent. A real resolution racing us is
-    // ignored by settle() — the outcome was fixed here.
-    done_ = true;
-    timed_out_ = true;
-    completion_ = deadline_;
-    status_ = MsgStatus{};
-    error_ = make_timeout_error();
-    err = error_;
-    to_run.swap(callbacks_);
-    done_flag_.store(true, std::memory_order_release);
-    notify = waiters_ > 0;
-  }
-  if (notify) cv_.notify_all();
-  sched::note_progress();
-  for (auto& fn : to_run) fn(deadline_, MsgStatus{}, err);
-  return true;
-}
-
-bool RequestState::cancel_now(std::exception_ptr error) {
-  std::vector<std::function<void(vt::TimePoint, const MsgStatus&,
-                                 const std::exception_ptr&)>>
-      to_run;
-  vt::TimePoint when{};
-  std::exception_ptr err;
-  bool notify = false;
-  {
-    std::lock_guard lock(mutex_);
-    if (done_) return false;
-    // Fix the outcome here: a real resolution racing the cancel is ignored
-    // by settle() (same protocol as the deadline rescue).
-    done_ = true;
-    timed_out_ = true;
-    if (deadline_armed_) when = deadline_;
-    completion_ = when;
-    status_ = MsgStatus{};
-    error_ = std::move(error);
-    err = error_;
-    to_run.swap(callbacks_);
-    done_flag_.store(true, std::memory_order_release);
-    notify = waiters_ > 0;
-  }
-  if (notify) cv_.notify_all();
-  sched::note_progress();
-  for (auto& fn : to_run) fn(when, MsgStatus{}, err);
-  return true;
-}
-
-void RequestState::rescue_if_stale(std::chrono::steady_clock::time_point now,
+bool RequestState::rescue_if_stale(std::chrono::steady_clock::time_point now,
                                    std::chrono::milliseconds grace) {
   {
     std::lock_guard lock(mutex_);
-    if (!deadline_armed_ || done_ || now - armed_at_ < grace) return;
+    if (!deadline_armed_ || done_ || now - armed_at_ < grace) return false;
   }
-  rescue_timeout();
+  return resolve({}, MsgStatus{}, nullptr, Rescue::deadline);
+}
+
+bool RequestState::cancel_now(std::exception_ptr error) {
+  return resolve({}, MsgStatus{}, std::move(error), Rescue::cancel);
 }
 
 std::exception_ptr RequestState::error() const {
@@ -392,42 +352,19 @@ vt::TimePoint RequestState::block_until_done() {
       for (int i = 0; i < 128 && !done(); ++i) std::this_thread::yield();
     }
   }
+  // A deadline-armed request needs no timer here: the progress driver's
+  // tick rescues it once the grace has passed since arming.
   if (!done() && sched::on_fiber()) {
     // Fiber path: stay in the scheduler's ready queue and re-poll the done
     // flag per resume — the worker thread is never parked, so peer ranks
     // (and the service fibers completing this request) keep running.
     ctx::BlockedScope blocked("mpi.request.wait");
-    bool armed = false;
-    {
-      std::lock_guard lock(mutex_);
-      armed = deadline_armed_;
-    }
-    if (armed) {
-      const auto limit = std::chrono::steady_clock::now() + deadline_grace();
-      while (!done() && std::chrono::steady_clock::now() < limit) sched::yield();
-      if (!done()) {
-        const bool rescued = rescue_timeout();
-        if (rescued && obs::metrics_enabled()) progress_metrics().rescued_waits.add();
-      }
-    }
     while (!done()) sched::yield();
   } else if (!done()) {
     ctx::BlockedScope blocked("mpi.request.wait");
     std::unique_lock lock(mutex_);
     ++waiters_;
-    if (deadline_armed_) {
-      // Liveness rescue: if nothing resolves this operation within the
-      // real-time grace, treat it as never completing (rescue_timeout fails
-      // it at its virtual deadline). Either way done_ holds afterwards.
-      if (!cv_.wait_for(lock, deadline_grace(), [&] { return done_; })) {
-        lock.unlock();
-        const bool rescued = rescue_timeout();
-        if (rescued && obs::metrics_enabled()) progress_metrics().rescued_waits.add();
-        lock.lock();
-      }
-    } else {
-      cv_.wait(lock, [&] { return done_; });
-    }
+    cv_.wait(lock, [&] { return done_; });
     --waiters_;
   }
   // done() held at least once: the completion fields are frozen, so they

@@ -101,9 +101,9 @@ bool test_all(std::span<Request> requests, vt::Clock& clock);
 
 namespace detail {
 
-/// Real-time grace allowed to a deadline-armed operation before a blocking
-/// waiter (or the cluster's deadline reaper) concludes it will never
-/// resolve. CLMPI_DEADLINE_GRACE_MS overrides the 2000 ms default.
+/// Real-time grace allowed to a deadline-armed operation before the progress
+/// driver concludes it will never resolve. CLMPI_DEADLINE_GRACE_MS overrides
+/// the 2000 ms default.
 std::chrono::milliseconds deadline_grace();
 
 class RequestState;
@@ -127,24 +127,20 @@ class RequestState {
   ///  * deterministic clamp — a completion (or failure) resolving at a
   ///    virtual time strictly after `deadline` becomes a TimeoutError AT
   ///    the deadline, independent of thread scheduling;
-  ///  * liveness rescue — a blocking wait on an operation that never
-  ///    resolves (e.g. a receive no one will ever match) self-fails with
-  ///    the same TimeoutError at `deadline` after a real-time grace period
-  ///    (CLMPI_DEADLINE_GRACE_MS, default 2000), instead of hanging until
-  ///    the watchdog kills the process.
+  ///  * liveness rescue — an operation that never resolves (e.g. a receive
+  ///    no one will ever match) fails with the same TimeoutError at
+  ///    `deadline` once a real-time grace period (CLMPI_DEADLINE_GRACE_MS,
+  ///    default 2000) has passed since arming, instead of hanging until the
+  ///    watchdog kills the process. The cluster's progress driver performs
+  ///    the rescue (rescue_if_stale), whether or not a thread waits.
   /// Must be armed before the operation can complete (i.e. before posting).
   void arm_deadline(vt::TimePoint deadline);
 
-  /// Liveness rescue entry point: fail a still-pending deadline-armed
-  /// operation with a TimeoutError AT its virtual deadline. Returns false
-  /// (no-op) if the operation is not armed or already resolved. Used by a
-  /// blocking waiter after its grace expires, and by the cluster's deadline
-  /// reaper for operations nothing ever blocks on (the clMPI runtime's
-  /// callback-driven commands).
-  bool rescue_timeout();
-
-  /// Reaper form of the rescue: only fires once `now - armed_at >= grace`.
-  void rescue_if_stale(std::chrono::steady_clock::time_point now,
+  /// Liveness rescue: fail a still-pending deadline-armed operation with a
+  /// TimeoutError AT its virtual deadline once `now - armed_at >= grace`.
+  /// Returns false (no-op) if the operation is not armed, already resolved
+  /// or not yet stale.
+  bool rescue_if_stale(std::chrono::steady_clock::time_point now,
                        std::chrono::milliseconds grace);
 
   /// Job-cancellation rescue: fail a still-pending operation with `error`
@@ -166,8 +162,7 @@ class RequestState {
   /// Blocks until complete; rethrows the operation's exception on failure.
   /// Flushes the coalescer named by the flush hint, then spins briefly
   /// (cooperative yields) before the condition-variable slow path; counts
-  /// progress.blocking_waits on entry when the request is still pending and
-  /// progress.rescued_waits when the deadline rescue resolves it.
+  /// progress.blocking_waits on entry when the request is still pending.
   vt::TimePoint block_until_done();
   /// The carried failure, if any (nullptr while pending or on success).
   [[nodiscard]] std::exception_ptr error() const;
@@ -186,8 +181,15 @@ class RequestState {
   void flush_hinted();
 
  private:
-  /// Single completion path shared by complete/fail/the deadline rescue.
-  void settle(vt::TimePoint when, MsgStatus st, std::exception_ptr error);
+  /// Who resolves the request: the operation itself, or a rescue that fixes
+  /// its outcome (a real resolution racing the rescue is then ignored).
+  enum class Rescue { none, deadline, cancel };
+
+  /// Single completion path shared by complete/fail and both rescues.
+  /// Returns false (no-op) when a rescue finds the request already resolved
+  /// (or, for the deadline rescue, not armed) and when a real resolution
+  /// finds the outcome already fixed by a rescue.
+  bool resolve(vt::TimePoint when, MsgStatus st, std::exception_ptr error, Rescue rescue);
 
   [[nodiscard]] std::exception_ptr make_timeout_error() const;
 
@@ -202,12 +204,11 @@ class RequestState {
   int waiters_{0};
   SendCoalescer* flush_co_{nullptr};
   bool deadline_armed_{false};
-  /// True when the request resolved as a deadline timeout; a late real
-  /// completion racing the rescue is then ignored (the operation's outcome
-  /// was already fixed at the deadline).
+  /// True when a deadline timeout or a cancel fixed the outcome; a late real
+  /// completion racing it is then ignored.
   bool timed_out_{false};
   vt::TimePoint deadline_{};
-  /// Real time at which the deadline was armed; the reaper's staleness clock.
+  /// Real time at which the deadline was armed; the rescue's staleness clock.
   std::chrono::steady_clock::time_point armed_at_{};
   vt::TimePoint completion_{};
   MsgStatus status_{};

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
@@ -114,12 +115,10 @@ struct Scheduler::Impl {
   bool started{false};
   std::atomic<bool> stopping{false};
 
-  // Idle backstops: the single pre-start hook (single-job path) plus
-  // dynamically registered per-job tasks (service path). Both run under
+  // Idle backstops, one per cluster run, keyed by token. They run under
   // `idle_mutex`, so remove_idle_task blocks while a pass is in flight and
   // a removed task can never run again after removal returns.
   std::mutex idle_mutex;
-  std::function<void()> idle_hook;
   std::vector<std::pair<const void*, std::function<void()>>> idle_tasks;
 
   void spawn(std::function<void()> fn, std::string label, std::uint64_t job);
@@ -335,16 +334,12 @@ void Scheduler::Impl::worker_loop(int index) {
                                  std::max(1, live.load(std::memory_order_relaxed)))) {
       fruitless = 0;
       // Quiescence: every live fiber was resumed once and nothing advanced.
-      // Run the backstop hooks first — they may release queued work
+      // Run the backstop tasks first — they may release queued work
       // (coalesced sends, cancel-failed requests) that unblocks a fiber on
-      // the next pass; only nap when even the hooks produced no progress.
+      // the next pass; only nap when even the tasks produced no progress.
       bool ran_backstop = false;
       {
         std::lock_guard ilock(idle_mutex);
-        if (idle_hook) {
-          idle_hook();
-          ran_backstop = true;
-        }
         for (auto& [token, task] : idle_tasks) {
           (void)token;
           task();
@@ -373,11 +368,6 @@ Scheduler::~Scheduler() {
 
 void Scheduler::spawn(std::function<void()> fn, std::string label, std::uint64_t job) {
   impl_->spawn(std::move(fn), std::move(label), job);
-}
-
-void Scheduler::set_idle_hook(std::function<void()> hook) {
-  CLMPI_REQUIRE(!impl_->started, "idle hook must be installed before start()");
-  impl_->idle_hook = std::move(hook);
 }
 
 void Scheduler::add_idle_task(const void* token, std::function<void()> task) {

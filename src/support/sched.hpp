@@ -31,7 +31,6 @@
 // CLMPI_SANITIZE=address / thread builds run fiber mode cleanly.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -86,25 +85,6 @@ void wait(std::unique_lock<std::mutex>& lock, std::condition_variable& cv, Pred&
     return;
   }
   cv.wait(lock, std::forward<Pred>(pred));
-}
-
-/// Fiber-aware wait with a real-time timeout (the deadline-grace slow path).
-/// Returns pred() — false only when the timeout expired first.
-template <typename Pred>
-bool wait_for(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
-              std::chrono::milliseconds timeout, Pred&& pred, const char* site) {
-  ctx::BlockedScope blocked(site);
-  if (on_fiber()) {
-    const auto limit = std::chrono::steady_clock::now() + timeout;
-    while (!pred()) {
-      if (std::chrono::steady_clock::now() >= limit) return pred();
-      lock.unlock();
-      yield();
-      lock.lock();
-    }
-    return true;
-  }
-  return cv.wait_for(lock, timeout, std::forward<Pred>(pred));
 }
 
 /// A long-lived service task (command-queue worker, clMPI dispatcher,
@@ -177,20 +157,16 @@ class Scheduler {
   /// Launch the worker pool. Call once, after the initial spawns.
   void start();
 
-  /// Install a quiescence backstop, run by a worker after a full pass over
-  /// the ready queue advanced nothing (before the idle nap). This is where
-  /// wall-clock backstops of the runtime (the progress engine's coalescer
-  /// tick flush) move in fiber mode: a racing real-time thread would perturb
-  /// post order against the deterministic cooperative schedule, while the
-  /// hook runs serialized with fiber execution at a schedule-determined
-  /// point. Call before start(); the hook must be callable from any worker.
-  void set_idle_hook(std::function<void()> hook);
-
-  /// Register / remove a quiescence backstop while the scheduler runs (the
-  /// per-job variant of set_idle_hook: each service job adds its coalescer
-  /// flush + cancel backstop for its lifetime). Tasks run serialized with the
-  /// legacy idle hook; remove_idle_task blocks while an idle pass is in
-  /// flight, so after it returns the task is guaranteed never to run again.
+  /// Register / remove a quiescence backstop, run by a worker after a full
+  /// pass over the ready queue advanced nothing (before the idle nap). This
+  /// is where wall-clock backstops of the runtime (the progress engine's
+  /// coalescer flush + cancel backstop) move in fiber mode: a racing
+  /// real-time thread would perturb post order against the deterministic
+  /// cooperative schedule, while the task runs serialized with fiber
+  /// execution at a schedule-determined point. Each cluster run adds its
+  /// task for its lifetime, keyed by `token`; tasks must be callable from
+  /// any worker. remove_idle_task blocks while an idle pass is in flight, so
+  /// after it returns the task is guaranteed never to run again.
   void add_idle_task(const void* token, std::function<void()> task);
   void remove_idle_task(const void* token);
 

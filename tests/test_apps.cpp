@@ -127,16 +127,23 @@ TEST(Himeno, VariantNames) {
 // --- nanopowder -------------------------------------------------------------------
 
 TEST(Nanopowder, ImplementationsAgreeBitForBit) {
-  nanopowder::Config cfg = nanopowder::Config::small();
-  cfg.use_clmpi = false;
-  const auto base = nanopowder::run_cluster(sys::ricc(), 4, cfg);
-  cfg.use_clmpi = true;
-  const auto cl = nanopowder::run_cluster(sys::ricc(), 4, cfg);
+  // The small configuration, and the paper's 2290-bin grid (whose volume
+  // grid overflows float unless capped) at the smallest valid cells/steps.
+  const nanopowder::Config paper_scale{.nbins = 2290, .cells = 4, .steps = 1,
+                                       .coag_substeps = 1};
+  for (nanopowder::Config cfg : {nanopowder::Config::small(), paper_scale}) {
+    SCOPED_TRACE(testing::Message() << "nbins " << cfg.nbins);
+    cfg.use_clmpi = false;
+    const auto base = nanopowder::run_cluster(sys::ricc(), 4, cfg);
+    cfg.use_clmpi = true;
+    const auto cl = nanopowder::run_cluster(sys::ricc(), 4, cfg);
 
-  ASSERT_TRUE(std::isfinite(base.distribution_checksum));
-  EXPECT_DOUBLE_EQ(base.distribution_checksum, cl.distribution_checksum);
-  EXPECT_DOUBLE_EQ(base.total_mass, cl.total_mass);
-  EXPECT_GT(base.total_mass, 0.0);
+    ASSERT_TRUE(std::isfinite(base.distribution_checksum));
+    EXPECT_DOUBLE_EQ(base.distribution_checksum, cl.distribution_checksum);
+    EXPECT_DOUBLE_EQ(base.total_mass, cl.total_mass);
+    EXPECT_TRUE(std::isfinite(base.total_mass));
+    EXPECT_GT(base.total_mass, 0.0);
+  }
 }
 
 TEST(Nanopowder, DecompositionDoesNotChangeTheAnswer) {

@@ -2,9 +2,10 @@
 // requests and small-message coalescing (docs/PROGRESS.md).
 //
 //  * Neutrality: the engine is wall-clock-only. The same seeded workload
-//    runs with the engine on, on again, and off — trace hashes, makespans
-//    and fault counters must be bit-identical across all three (the
-//    continuation-ordering determinism contract).
+//    runs coalesced, coalesced again, and with every send posted directly
+//    (coalesce_max_msg = 0) — trace hashes, makespans and fault counters
+//    must be bit-identical across all three (the continuation-ordering
+//    determinism contract).
 //  * Coalescing flush boundaries: exactly-N, N-1 and N+1 message bursts
 //    trip the count / wait triggers the documented way, and the byte
 //    threshold fires independently of the count threshold.
@@ -101,7 +102,6 @@ std::array<std::uint64_t, 3> run_burst(std::size_t n) {
 TEST(ProgressCoalesce, CountFlushBoundaries) {
   ProgressConfigGuard guard;
   auto& cfg = mpi::detail::progress_config();
-  cfg.enabled = true;
   // Park the background triggers so only count/wait flushes can fire: the
   // driver tick is pushed out past the test and the virtual horizon is huge.
   cfg.driver_tick = std::chrono::milliseconds(60000);
@@ -135,7 +135,6 @@ TEST(ProgressCoalesce, CountFlushBoundaries) {
 TEST(ProgressCoalesce, ByteThresholdFiresBeforeCount) {
   ProgressConfigGuard guard;
   auto& cfg = mpi::detail::progress_config();
-  cfg.enabled = true;
   cfg.driver_tick = std::chrono::milliseconds(60000);
   cfg.coalesce_horizon = vt::seconds(1e6);
   cfg.coalesce_max_count = 1000;  // byte threshold must fire first
@@ -176,17 +175,22 @@ struct MixedOutcome {
   mpi::FaultCounters faults{};
 };
 
-MixedOutcome run_mixed(bool engine, std::uint64_t seed, const mpi::FaultPlan& plan) {
+/// `coalesced` false sets coalesce_max_msg = 0, so every send posts directly;
+/// the progress.coalesce.enqueued delta proves which side actually ran.
+MixedOutcome run_mixed(bool coalesced, std::uint64_t seed, const mpi::FaultPlan& plan) {
   ProgressConfigGuard guard;
-  mpi::detail::progress_config().enabled = engine;
+  if (!coalesced) mpi::detail::progress_config().coalesce_max_msg = 0;
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const std::uint64_t enq0 = counter("progress.coalesce.enqueued");
   // The fan-in part of this workload has three senders racing variable-size
   // eager messages into rank 0's RX resource. With thread-per-rank, which
   // contender gets the early backfill slot is decided by wall-clock grant
   // order (vt/resource.hpp), so the trace hash is schedule-dependent under
   // machine load — the same threads-mode limitation docs/SCHEDULER.md
   // records for contended workloads. Pin the fiber launcher: cooperative
-  // serialization makes grant order deterministic, so the engine-on vs
-  // engine-off comparison below is exact instead of load-flaky.
+  // serialization makes grant order deterministic, so the coalesced vs
+  // direct comparison below is exact instead of load-flaky.
   testutil::EnvGuard sched("CLMPI_SCHED", "fibers");
 
   constexpr int kRanks = 4;
@@ -241,6 +245,14 @@ MixedOutcome run_mixed(bool engine, std::uint64_t seed, const mpi::FaultPlan& pl
     world.sendrecv(out, next, 5, in, prev, 5, rank.clock());
   });
 
+  const std::uint64_t enqueued = counter("progress.coalesce.enqueued") - enq0;
+  obs::set_metrics_enabled(metrics_were_enabled);
+  if (coalesced) {
+    EXPECT_GT(enqueued, 0u) << "the coalesced side never coalesced";
+  } else {
+    EXPECT_EQ(enqueued, 0u) << "the direct side coalesced";
+  }
+
   MixedOutcome outcome;
   outcome.hash = tracer.hash();
   outcome.makespan = res.makespan_s;
@@ -261,11 +273,13 @@ void expect_same(const MixedOutcome& a, const MixedOutcome& b) {
 
 TEST(ProgressNeutrality, EngineOnOffBitIdentical) {
   for (std::uint64_t seed : {11u, 42u, 1234u}) {
-    const MixedOutcome on1 = run_mixed(true, seed, {});
-    const MixedOutcome on2 = run_mixed(true, seed, {});
-    const MixedOutcome off = run_mixed(false, seed, {});
-    expect_same(on1, on2);  // continuation/coalescing ordering is deterministic
-    expect_same(on1, off);  // ... and virtual-time neutral
+    const MixedOutcome coalesced1 = run_mixed(true, seed, {});
+    const MixedOutcome coalesced2 = run_mixed(true, seed, {});
+    const MixedOutcome direct = run_mixed(false, seed, {});
+    // Continuation/coalescing ordering is deterministic...
+    expect_same(coalesced1, coalesced2);
+    // ... and virtual-time neutral.
+    expect_same(coalesced1, direct);
   }
 }
 
@@ -279,10 +293,10 @@ TEST(ProgressNeutrality, ChaosScheduleUnperturbed) {
   plan.latency_spike_rate = 0.3;
   for (std::uint64_t seed : {7u, 99u}) {
     plan.seed = seed;
-    const MixedOutcome on = run_mixed(true, seed, plan);
-    const MixedOutcome off = run_mixed(false, seed, plan);
-    EXPECT_GT(on.faults.messages, 0u);
-    expect_same(on, off);
+    const MixedOutcome coalesced = run_mixed(true, seed, plan);
+    const MixedOutcome direct = run_mixed(false, seed, plan);
+    EXPECT_GT(coalesced.faults.messages, 0u);
+    expect_same(coalesced, direct);
   }
 }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "clmpi/runtime.hpp"
+#include "obs/metrics.hpp"
 #include "ocl/context.hpp"
 #include "ocl/platform.hpp"
 #include "ocl/queue.hpp"
@@ -95,13 +96,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MessageStorm, ::testing::Values(1u, 17u, 42u, 12
 /// One wildcard-receiver run: ranks 1..N-1 race coalescable bursts and
 /// persistent replays at rank 0, which drains everything through serialized
 /// (any_source, any_tag) receives. Returns rank 0's observed delivery
-/// sequence as packed (source, tag, payload-word) records.
-std::vector<std::uint64_t> run_wildcard_storm(bool progress_on, std::uint64_t seed) {
+/// sequence as packed (source, tag, payload-word) records. `coalesced`
+/// false sets coalesce_max_msg = 0, so every send posts directly; the
+/// progress.coalesce.enqueued delta proves which side actually ran.
+std::vector<std::uint64_t> run_wildcard_storm(bool coalesced, std::uint64_t seed) {
   struct ProgressConfigGuard {
     mpi::detail::ProgressConfig saved = mpi::detail::progress_config();
     ~ProgressConfigGuard() { mpi::detail::progress_config() = saved; }
   } guard;
-  mpi::detail::progress_config().enabled = progress_on;
+  if (!coalesced) mpi::detail::progress_config().coalesce_max_msg = 0;
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const auto enqueued = [] {
+    std::uint64_t v = 0;
+    (void)obs::Registry::instance().value("progress.coalesce.enqueued", v);
+    return v;
+  };
+  const std::uint64_t enq0 = enqueued();
 
   constexpr int kRanks = 4;
   constexpr int kBurst = 12;   // coalescable messages per sender
@@ -143,6 +154,13 @@ std::vector<std::uint64_t> run_wildcard_storm(bool progress_on, std::uint64_t se
       mpi::wait_all(std::span(reqs), rank.clock());
     }
   });
+  const std::uint64_t enq = enqueued() - enq0;
+  obs::set_metrics_enabled(metrics_were_enabled);
+  if (coalesced) {
+    EXPECT_GT(enq, 0u) << "the coalesced side never coalesced";
+  } else {
+    EXPECT_EQ(enq, 0u) << "the direct side coalesced";
+  }
   return seen;
 }
 
@@ -162,31 +180,32 @@ TEST_P(WildcardVsCoalescing, ArrivalOrderUnchangedByProgressEngine) {
   // The progress engine (send coalescing + persistent replay fast path) is
   // wall-clock-only. The cross-SENDER interleaving a wildcard receiver sees
   // is decided by which racing rank thread arrives first — that is wall
-  // scheduling, identical with the engine on or off. What the engine must
-  // not change is anything per source: a wildcard receiver's per-source
-  // subsequence is the sender's program order (non-overtaking + the
-  // coalescer's flush-before-direct-post rule), and the delivered multiset
-  // of (source, tag, payload) records is exact. Compare the engine-on run
-  // against engine-off (the CLMPI_PROGRESS=0 configuration) and a repeat.
+  // scheduling, identical whether sends are coalesced or posted directly.
+  // What coalescing must not change is anything per source: a wildcard
+  // receiver's per-source subsequence is the sender's program order
+  // (non-overtaking + the coalescer's flush-before-direct-post rule), and
+  // the delivered multiset of (source, tag, payload) records is exact.
+  // Compare the coalesced run against direct posting (coalesce_max_msg = 0)
+  // and a repeat.
   const std::uint64_t seed = GetParam();
-  const std::vector<std::uint64_t> on = run_wildcard_storm(true, seed);
-  const std::vector<std::uint64_t> off = run_wildcard_storm(false, seed);
-  const std::vector<std::uint64_t> on2 = run_wildcard_storm(true, seed);
-  ASSERT_EQ(on.size(), off.size());
-  ASSERT_EQ(on.size(), on2.size());
+  const std::vector<std::uint64_t> coalesced = run_wildcard_storm(true, seed);
+  const std::vector<std::uint64_t> direct = run_wildcard_storm(false, seed);
+  const std::vector<std::uint64_t> coalesced2 = run_wildcard_storm(true, seed);
+  ASSERT_EQ(coalesced.size(), direct.size());
+  ASSERT_EQ(coalesced.size(), coalesced2.size());
   for (int source = 1; source <= 3; ++source) {
     SCOPED_TRACE(testing::Message() << "source " << source);
-    const std::vector<std::uint64_t> order = per_source(on, source);
-    EXPECT_EQ(order, per_source(off, source));
-    EXPECT_EQ(order, per_source(on2, source));
+    const std::vector<std::uint64_t> order = per_source(coalesced, source);
+    EXPECT_EQ(order, per_source(direct, source));
+    EXPECT_EQ(order, per_source(coalesced2, source));
   }
   auto sorted = [](std::vector<std::uint64_t> v) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  const std::vector<std::uint64_t> delivered = sorted(on);
-  EXPECT_EQ(delivered, sorted(off));
-  EXPECT_EQ(delivered, sorted(on2));
+  const std::vector<std::uint64_t> delivered = sorted(coalesced);
+  EXPECT_EQ(delivered, sorted(direct));
+  EXPECT_EQ(delivered, sorted(coalesced2));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WildcardVsCoalescing, ::testing::Values(3u, 29u, 777u));

@@ -284,7 +284,7 @@ TEST(SchedOversubscription, ManyRanksFewWorkersBitIdentical) {
   // Worker-count neutrality and run-to-run identity on the richer workload
   // (ring + 512-rank reduce tree): the multiplexing degree must not leak
   // into virtual time. The two runs double as a determinism oracle — the
-  // coalescer backstop moves to the scheduler's idle hook in fiber mode
+  // coalescer backstop moves to the scheduler's idle task in fiber mode
   // precisely so this workload is reproducible (a wall-clock tick flush
   // would reorder the wire backfill).
   const Outcome fibers4 = run_ring("fibers", "4", kRanks, /*with_allreduce=*/true);

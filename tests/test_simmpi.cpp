@@ -87,6 +87,32 @@ TEST(P2P, TruncationThrows) {
       PreconditionError);
 }
 
+TEST(P2P, TruncationThrowsWhenReceivePostedFirst) {
+  // A handshake orders the receive before the send, so the SENDER's thread
+  // delivers. Both endpoints must still fail typed; neither may hang.
+  std::atomic<int> typed_failures{0};
+  EXPECT_THROW(
+      Cluster::run(opts(2),
+                   [&typed_failures](Rank& rank) {
+                     std::vector<std::byte> big(1000), small(10), token(1);
+                     try {
+                       if (rank.rank() == 0) {
+                         rank.world().recv(token, 1, 1, rank.clock());
+                         rank.world().send(big, 1, 0, rank.clock());
+                       } else {
+                         Request r = rank.world().irecv(small, 0, 0, rank.clock());
+                         rank.world().send(token, 0, 1, rank.clock());
+                         r.wait(rank.clock());
+                       }
+                     } catch (const PreconditionError&) {
+                       ++typed_failures;
+                       throw;
+                     }
+                   }),
+      PreconditionError);
+  EXPECT_EQ(typed_failures.load(), 2);
+}
+
 TEST(P2P, AnySourceAndAnyTagMatch) {
   Cluster::run(opts(3), [](Rank& rank) {
     std::vector<int> v{rank.rank()};
