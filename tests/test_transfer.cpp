@@ -4,6 +4,7 @@
 
 #include "test_util.hpp"
 
+#include <ostream>
 #include <vector>
 
 #include "ocl/context.hpp"
@@ -51,6 +52,12 @@ struct StrategyCase {
   const char* name;
   Strategy strategy;
 };
+
+// gtest names each case "<name>  # GetParam() = <printed param>". Without a
+// printer it dumps the struct's raw bytes, i.e. the address of `name` (which
+// moves with ASLR) and uninitialised padding, so the names would differ from
+// one test discovery to the next.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
 
 class AllStrategies : public ::testing::TestWithParam<StrategyCase> {};
 
