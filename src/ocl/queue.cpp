@@ -216,8 +216,12 @@ EventPtr CommandQueue::enqueue_ndrange(const KernelPtr& kernel, const NDRange& r
   return push(kernel->name(), waits, clock, [=, dev = device_](vt::TimePoint ready) {
     const vt::Duration cost = kernel->cost()(range, dev->profile());
     const auto span = dev->charge_kernel(ready, cost, kernel->name());
-    KernelArgs view(*args);
-    kernel->body()(range, view);
+    // The virtual span is fixed; the body is pure compute, so it runs off
+    // this worker's turn and overlaps the job's other fibers.
+    sched::offload([&] {
+      KernelArgs view(*args);
+      kernel->body()(range, view);
+    });
     return span;
   });
 }

@@ -350,11 +350,14 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       if (options.job != nullptr) options.job->request_cancel();
     }
     {
+      // Notify under the lock: once `remaining` reads 0, Cluster::run may
+      // return and destroy `done_cv`, so it must not be touched after the
+      // unlock.
       std::lock_guard lock(state_mutex);
       rank_done[static_cast<std::size_t>(r)] = 1;
       --remaining;
+      done_cv.notify_all();
     }
-    done_cv.notify_all();
     sched::note_progress();
   };
 
@@ -366,28 +369,26 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     fibers = &scheduler.emplace(sched::Scheduler::Options{});
   }
   if (fibers != nullptr) {
-    // Ranks run as fibers. The idle task is the cooperative stand-in for the
+    // Ranks run as fibers: job-tagged on a shared service scheduler, job 0
+    // on a private one. The idle task is the cooperative stand-in for the
     // progress driver's wall-clock backstop: it runs only at scheduler
-    // quiescence, serialized with fiber execution, so batch composition
-    // stays a function of the cooperative schedule rather than of a racing
+    // quiescence, inside the job's turn, so batch composition stays a
+    // function of the cooperative schedule rather than of a racing
     // real-time tick. It is registered for exactly the run's lifetime;
     // `&core` keys its removal.
+    const std::uint64_t job_tag = external != nullptr ? options.job_tag : 0;
     core.cooperative.store(true, std::memory_order_relaxed);
-    fibers->add_idle_task(&core, [&core] { core.backstop(/*wire=*/true); });
-  }
-  if (external != nullptr) {
-    // Service mode: ranks run as job-tagged fibers on the shared persistent
-    // scheduler.
-    const std::string tag = "job" + std::to_string(options.job_tag) + ".rank";
+    fibers->add_idle_task(&core, job_tag, [&core] { core.backstop(/*wire=*/true); });
+    // One batch, so on a running service scheduler no rank takes a turn
+    // before its peers are queued.
+    const std::string tag =
+        external != nullptr ? "job" + std::to_string(job_tag) + ".rank" : "rank";
+    std::vector<sched::Scheduler::Task> ranks;
     for (int r = 0; r < options.nranks; ++r) {
-      external->spawn([&rank_main, r] { rank_main(r); }, tag + std::to_string(r),
-                      options.job_tag);
+      ranks.push_back({[&rank_main, r] { rank_main(r); }, tag + std::to_string(r)});
     }
-  } else if (scheduler) {
-    for (int r = 0; r < options.nranks; ++r) {
-      scheduler->spawn([&rank_main, r] { rank_main(r); }, "rank" + std::to_string(r));
-    }
-    scheduler->start();
+    fibers->spawn(std::move(ranks), job_tag);
+    if (scheduler) scheduler->start();
   } else {
     threads.reserve(static_cast<std::size_t>(options.nranks));
     for (int r = 0; r < options.nranks; ++r) {

@@ -63,6 +63,23 @@ std::size_t default_stack_bytes() {
 #endif
 }
 
+/// One sched::offload in flight. Lives on the offloading fiber's stack,
+/// which does not return from offload before `done` — so the worker running
+/// the body may hold a raw pointer to it.
+struct Offload {
+  const std::function<void()>* fn{nullptr};
+  std::exception_ptr error;
+  bool done{false};  ///< guarded by Scheduler::Impl::mutex
+
+  void run() noexcept {
+    try {
+      (*fn)();
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }
+};
+
 struct Fiber {
   ucontext_t uc{};
   ucontext_t* ret_uc{nullptr};  ///< resuming worker's context, set per resume
@@ -74,6 +91,7 @@ struct Fiber {
   std::atomic<bool> finished{false};
   bool started{false};
   std::uint64_t job{0};  ///< tenancy tag; 0 = untagged (single-job mode)
+  Offload* offload{nullptr};  ///< body handed to the worker by this yield
   ctx::ExecContext ctx;
   Scheduler::Impl* owner{nullptr};
 #ifdef CLMPI_SCHED_ASAN
@@ -104,10 +122,17 @@ struct Scheduler::Impl {
   std::size_t stack_bytes{0};
 
   // Ready structure: one FIFO per job tag plus a round-robin rotation of
-  // job tags with runnable fibers. Invariant (under `mutex`): a tag appears
-  // in `rotation` exactly once iff its deque is non-empty.
+  // job tags that can run. A job holds the turn while one of its fibers (or
+  // its idle task) runs, and no other fiber of that job is popped until the
+  // turn is released. Invariant (under `mutex`): a tag appears in `rotation`
+  // exactly once iff its deque is non-empty and its turn is free; a `jobs`
+  // entry exists iff its deque is non-empty or its turn is taken.
+  struct Job {
+    std::deque<Fiber*> ready;
+    bool turn{false};
+  };
   mutable std::mutex mutex;
-  std::unordered_map<std::uint64_t, std::deque<Fiber*>> ready_jobs;
+  std::unordered_map<std::uint64_t, Job> jobs;
   std::deque<std::uint64_t> rotation;
   std::vector<std::unique_ptr<Fiber>> all;
   std::atomic<int> live{0};
@@ -115,39 +140,70 @@ struct Scheduler::Impl {
   bool started{false};
   std::atomic<bool> stopping{false};
 
+  // `turn_cv` wakes an idle worker when a worker hands a job's turn on
+  // before running an offloaded body; `offload_done_cv` wakes offloaders
+  // waiting for their body to finish (both under `mutex`).
+  std::condition_variable turn_cv;
+  std::condition_variable offload_done_cv;
+
   // Idle backstops, one per cluster run, keyed by token. They run under
   // `idle_mutex`, so remove_idle_task blocks while a pass is in flight and
   // a removed task can never run again after removal returns.
+  struct IdleTask {
+    const void* token;
+    std::uint64_t job;
+    std::function<void()> task;
+  };
   std::mutex idle_mutex;
-  std::vector<std::pair<const void*, std::function<void()>>> idle_tasks;
+  std::vector<IdleTask> idle_tasks;
 
-  void spawn(std::function<void()> fn, std::string label, std::uint64_t job);
-  void push_ready(Fiber* f);   // requires `mutex`
-  Fiber* pop_ready();          // requires `mutex`
+  std::unique_ptr<Fiber> make_fiber(std::function<void()> fn, std::string label,
+                                    std::uint64_t job);
+  void enqueue(std::vector<std::unique_ptr<Fiber>> fibers);
+  void push_ready(Fiber* f);            // requires `mutex`
+  Fiber* pop_ready();                   // requires `mutex`; takes the job's turn
+  bool take_turn(std::uint64_t job);    // requires `mutex`
+  void release_turn(std::uint64_t job); // requires `mutex`
+  void offload(const std::function<void()>& fn);
   void worker_loop(int index);
+  bool run_idle_tasks();
   void resume(Fiber* f);
   void retire(Fiber* f);
 };
 
 void Scheduler::Impl::push_ready(Fiber* f) {
-  auto& q = ready_jobs[f->job];
-  if (q.empty()) rotation.push_back(f->job);
-  q.push_back(f);
+  Job& j = jobs[f->job];
+  j.ready.push_back(f);
+  if (!j.turn && j.ready.size() == 1) rotation.push_back(f->job);
 }
 
 Fiber* Scheduler::Impl::pop_ready() {
   if (rotation.empty()) return nullptr;
   const std::uint64_t id = rotation.front();
   rotation.pop_front();
-  const auto it = ready_jobs.find(id);
-  Fiber* f = it->second.front();
-  it->second.pop_front();
-  if (it->second.empty()) {
-    ready_jobs.erase(it);  // keep the map bounded across many short jobs
-  } else {
-    rotation.push_back(id);
-  }
+  Job& j = jobs.find(id)->second;
+  Fiber* f = j.ready.front();
+  j.ready.pop_front();
+  j.turn = true;
   return f;
+}
+
+bool Scheduler::Impl::take_turn(std::uint64_t job) {
+  Job& j = jobs[job];
+  if (j.turn) return false;
+  j.turn = true;
+  if (!j.ready.empty()) rotation.erase(std::find(rotation.begin(), rotation.end(), job));
+  return true;
+}
+
+void Scheduler::Impl::release_turn(std::uint64_t job) {
+  const auto it = jobs.find(job);
+  it->second.turn = false;
+  if (it->second.ready.empty()) {
+    jobs.erase(it);  // keep the map bounded across many short jobs
+  } else {
+    rotation.push_back(job);
+  }
 }
 
 namespace {
@@ -198,6 +254,14 @@ void note_progress() noexcept {
   g_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
+void offload(const std::function<void()>& fn) {
+  if (Fiber* f = t_current) {
+    f->owner->offload(fn);
+  } else {
+    fn();
+  }
+}
+
 void yield() {
   Fiber* f = t_current;
   if (f == nullptr) {
@@ -217,7 +281,8 @@ void yield() {
 #endif
 }
 
-void Scheduler::Impl::spawn(std::function<void()> fn, std::string label, std::uint64_t job) {
+std::unique_ptr<Fiber> Scheduler::Impl::make_fiber(std::function<void()> fn, std::string label,
+                                                   std::uint64_t job) {
   auto f = std::make_unique<Fiber>();
   f->owner = this;
   f->fn = std::move(fn);
@@ -243,11 +308,16 @@ void Scheduler::Impl::spawn(std::function<void()> fn, std::string label, std::ui
   f->tsan_fiber = __tsan_create_fiber(0);
   __tsan_set_fiber_name(f->tsan_fiber, f->ctx.log_label.c_str());
 #endif
+  return f;
+}
 
-  live.fetch_add(1, std::memory_order_acq_rel);
+void Scheduler::Impl::enqueue(std::vector<std::unique_ptr<Fiber>> fibers) {
+  live.fetch_add(static_cast<int>(fibers.size()), std::memory_order_acq_rel);
   std::lock_guard lock(mutex);
-  push_ready(f.get());
-  all.push_back(std::move(f));
+  for (auto& f : fibers) {
+    push_ready(f.get());
+    all.push_back(std::move(f));
+  }
 }
 
 void Scheduler::Impl::resume(Fiber* f) {
@@ -286,9 +356,49 @@ void Scheduler::Impl::retire(Fiber* f) {
     // Drop the Fiber record itself: a persistent scheduler hosts thousands
     // of short jobs over its life and must not accumulate their corpses.
     std::lock_guard lock(mutex);
+    release_turn(f->job);
     std::erase_if(all, [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });
   }
   live.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+void Scheduler::Impl::offload(const std::function<void()>& fn) {
+  Offload job;
+  job.fn = &fn;
+  // Hand the body to this worker and the turn to the job's next fiber. This
+  // resume made progress that nothing else signals (the body is pending,
+  // not blocked): bump the epoch, or the job's next round would count
+  // toward quiescence and nap once per offload.
+  t_current->offload = &job;
+  note_progress();
+  yield();
+  // Next turn: the body may still be running. Wait for it while KEEPING the
+  // turn — yielding here instead would give the job's other fibers a
+  // wall-clock-dependent number of extra turns.
+  {
+    ctx::BlockedScope blocked("sched.offload");
+    std::unique_lock lock(mutex);
+    offload_done_cv.wait(lock, [&] { return job.done; });
+  }
+  if (job.error) std::rethrow_exception(job.error);
+}
+
+bool Scheduler::Impl::run_idle_tasks() {
+  bool ran = false;
+  std::lock_guard ilock(idle_mutex);
+  for (IdleTask& t : idle_tasks) {
+    {
+      // A job's backstop runs inside its turn, like one of its fibers; a job
+      // that holds its turn elsewhere is not quiescent, so skip it.
+      std::lock_guard lock(mutex);
+      if (!take_turn(t.job)) continue;
+    }
+    t.task();
+    ran = true;
+    std::lock_guard lock(mutex);
+    release_turn(t.job);
+  }
+  return ran;
 }
 
 void Scheduler::Impl::worker_loop(int index) {
@@ -298,19 +408,22 @@ void Scheduler::Impl::worker_loop(int index) {
   for (;;) {
     Fiber* f = nullptr;
     {
-      std::lock_guard lock(mutex);
+      std::unique_lock lock(mutex);
       f = pop_ready();
+      if (f == nullptr && live.load(std::memory_order_acquire) != 0) {
+        // Every runnable fiber belongs to a job whose turn is taken (or a
+        // spawn is in flight): wait briefly for a turn to be handed on
+        // rather than hammer the queue lock.
+        turn_cv.wait_for(lock, std::chrono::microseconds(50), [&] { return !rotation.empty(); });
+        f = pop_ready();
+      }
     }
     if (f == nullptr) {
       if (live.load(std::memory_order_acquire) == 0) {
         if (!opts.persistent || stopping.load(std::memory_order_acquire)) return;
         // Persistent pool between jobs: nothing to run until a submit.
         std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
       }
-      // Every unfinished fiber is mid-resume on another worker (or a spawn
-      // is in flight); back off rather than hammer the queue lock.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
       continue;
     }
     resume(f);
@@ -318,9 +431,25 @@ void Scheduler::Impl::worker_loop(int index) {
       retire(f);
       continue;
     }
+    Offload* job = std::exchange(f->offload, nullptr);
     {
+      // Push-back and turn release in one critical section: the job's next
+      // fiber is popped strictly after this one is back in its FIFO, so the
+      // job's resume sequence is the one-worker sequence at any worker count.
       std::lock_guard lock(mutex);
       push_ready(f);
+      release_turn(f->job);
+    }
+    if (job != nullptr) {
+      // The fiber offloaded a body: run it here, off the turn, while an
+      // idle worker carries on with the job.
+      turn_cv.notify_one();
+      job->run();
+      {
+        std::lock_guard lock(mutex);
+        job->done = true;
+      }
+      offload_done_cv.notify_all();
     }
     // Idle backoff: a blocked fiber re-enters the ready queue, so when every
     // live fiber waits on an external thread (progress driver, a plain-thread
@@ -337,16 +466,7 @@ void Scheduler::Impl::worker_loop(int index) {
       // Run the backstop tasks first — they may release queued work
       // (coalesced sends, cancel-failed requests) that unblocks a fiber on
       // the next pass; only nap when even the tasks produced no progress.
-      bool ran_backstop = false;
-      {
-        std::lock_guard ilock(idle_mutex);
-        for (auto& [token, task] : idle_tasks) {
-          (void)token;
-          task();
-          ran_backstop = true;
-        }
-      }
-      if (ran_backstop && g_epoch.load(std::memory_order_relaxed) != seen_epoch) continue;
+      if (run_idle_tasks() && g_epoch.load(std::memory_order_relaxed) != seen_epoch) continue;
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
@@ -367,18 +487,27 @@ Scheduler::~Scheduler() {
 }
 
 void Scheduler::spawn(std::function<void()> fn, std::string label, std::uint64_t job) {
-  impl_->spawn(std::move(fn), std::move(label), job);
+  std::vector<std::unique_ptr<Fiber>> one;
+  one.push_back(impl_->make_fiber(std::move(fn), std::move(label), job));
+  impl_->enqueue(std::move(one));
 }
 
-void Scheduler::add_idle_task(const void* token, std::function<void()> task) {
+void Scheduler::spawn(std::vector<Task> tasks, std::uint64_t job) {
+  std::vector<std::unique_ptr<Fiber>> batch;
+  batch.reserve(tasks.size());
+  for (Task& t : tasks) batch.push_back(impl_->make_fiber(std::move(t.fn), std::move(t.label), job));
+  impl_->enqueue(std::move(batch));
+}
+
+void Scheduler::add_idle_task(const void* token, std::uint64_t job, std::function<void()> task) {
   std::lock_guard lock(impl_->idle_mutex);
-  impl_->idle_tasks.emplace_back(token, std::move(task));
+  impl_->idle_tasks.push_back({token, job, std::move(task)});
 }
 
 void Scheduler::remove_idle_task(const void* token) {
   std::lock_guard lock(impl_->idle_mutex);
   std::erase_if(impl_->idle_tasks,
-                [token](const auto& entry) { return entry.first == token; });
+                [token](const Impl::IdleTask& t) { return t.token == token; });
 }
 
 void Scheduler::start() {
@@ -451,14 +580,16 @@ ServiceHandle spawn_service(std::string label, std::function<void()> fn) {
   if (cur != nullptr) {
     auto done = std::make_shared<std::atomic<bool>>(false);
     h.fiber_done_ = done;
-    cur->owner->spawn(
+    std::vector<std::unique_ptr<Fiber>> one;
+    one.push_back(cur->owner->make_fiber(
         [done, job_ctx, fn = std::move(fn)] {
           ctx::current().job = job_ctx;
           fn();
           done->store(true, std::memory_order_release);
           note_progress();
         },
-        std::move(label), cur->job);
+        std::move(label), cur->job));
+    cur->owner->enqueue(std::move(one));
     return h;
   }
   h.thread_ = std::thread([label = std::move(label), job_ctx, fn = std::move(fn)] {

@@ -10,6 +10,13 @@
 // goes through sched::wait / sched::yield, which suspends the FIBER instead
 // of parking the OS thread.
 //
+// Execution model: one turn per job. At most one fiber of a given job tag
+// runs at a time, and a job's fibers take their turns in FIFO order, so each
+// job's resume sequence is the one-worker sequence at any worker count.
+// Different jobs (svc::Service tenants) run in parallel. Pure compute that
+// needs no turn — kernel bodies — leaves it through sched::offload, which is
+// where a single cluster run gets its parallelism.
+//
 // Blocking model: poll-yield. A blocked fiber stays in the round-robin ready
 // queue and re-checks its predicate on every resume. There is no wakeup
 // bookkeeping to lose: completions produced by other fibers, by the progress
@@ -19,12 +26,14 @@
 // global progress epoch (note_progress(), bumped at every completion site)
 // and sleep briefly when a full pass over the ready queue advanced nothing.
 //
-// Determinism contract: the scheduler never touches virtual time. All
-// timestamps are computed from vt::Clock values fixed at post time, so trace
-// hashes, makespans and fault counters are bit-identical between
-// CLMPI_SCHED=threads and CLMPI_SCHED=fibers (tests/test_sched.cpp holds the
-// two modes to that; the chaos suite's seed-identity oracle already holds
-// each mode to itself).
+// Determinism contract: the scheduler never touches virtual time, and the
+// turn fixes the order in which a job's fibers reach shared virtual
+// resources (vt::Resource backfill alone is order-independent only for
+// contenders with equal ready times). So trace hashes, makespans and fault
+// counters of a fiber run do not depend on the worker count or on the
+// wall-clock interleaving (tests/test_sched.cpp holds 1, 2 and 4 workers to
+// that). Threads mode keeps real-time grant order and matches fibers only on
+// workloads without unequal-ready contention.
 //
 // Sanitizers: fiber stack switches are annotated for ASan
 // (__sanitizer_{start,finish}_switch_fiber) and TSan (__tsan_*_fiber), so
@@ -59,6 +68,16 @@ Mode mode_from_env();
 /// the next ready fiber (the caller resumes later, possibly on a different
 /// worker). On a plain thread: std::this_thread::yield().
 void yield();
+
+/// Run `fn` off the caller's turn. `fn` must be pure compute: it may not
+/// block, yield, or touch virtual time or the caller's execution context.
+/// On a fiber: yield, handing `fn` to the worker that ran the caller; that
+/// worker releases the job's turn and runs `fn` while other workers carry
+/// on with the job. At the caller's next turn it waits, keeping the turn,
+/// until `fn` finished. The caller's turn sequence is the same as with `fn`
+/// inline plus one yield, at any worker count. Returns once `fn` returned,
+/// rethrowing its exception. On a plain thread: runs `fn` inline.
+void offload(const std::function<void()>& fn);
 
 /// Completion-side hook: something observable by a blocked task happened
 /// (request settled, event completed, message arrived, epoch closed). Bumps
@@ -118,13 +137,15 @@ ServiceHandle spawn_service(std::string label, std::function<void()> fn);
 ///
 /// Multi-tenancy: every fiber carries a job tag (0 = untagged). The ready
 /// structure is one FIFO deque per job plus a round-robin rotation across
-/// jobs with runnable fibers, so each scheduling decision picks the next
-/// job in rotation and the oldest ready fiber of that job. Fairness is
-/// deterministic: a job's fibers execute in exactly the FIFO order they
-/// would with the job alone on the scheduler (co-tenants only interleave
-/// BETWEEN its resumes, never reorder them), which is what keeps per-job
-/// trace hashes independent of co-tenancy. With a single job the rotation
-/// degenerates to the classic single-deque round robin.
+/// jobs that have runnable fibers and a free turn, so each scheduling
+/// decision picks the next job in rotation and the oldest ready fiber of
+/// that job, and takes that job's turn until the fiber yields. A job's
+/// fibers therefore execute in exactly the FIFO order they would with the
+/// job alone on a one-worker scheduler (co-tenants and extra workers only
+/// interleave BETWEEN its resumes, never reorder or overlap them), which is
+/// what keeps per-job trace hashes independent of co-tenancy and of the
+/// worker count. With a single job the rotation degenerates to the classic
+/// single-deque round robin.
 class Scheduler {
  public:
   struct Options {
@@ -154,6 +175,16 @@ class Scheduler {
   /// see spawn_service). `label` becomes the fiber's log label.
   void spawn(std::function<void()> fn, std::string label, std::uint64_t job = 0);
 
+  /// Queue one fiber per task under job tag `job`, in order, as one batch:
+  /// none of them runs before all are queued, so on a running (persistent)
+  /// scheduler the job's first turns do not depend on how fast the workers
+  /// pick up the first fibers.
+  struct Task {
+    std::function<void()> fn;
+    std::string label;
+  };
+  void spawn(std::vector<Task> tasks, std::uint64_t job = 0);
+
   /// Launch the worker pool. Call once, after the initial spawns.
   void start();
 
@@ -162,12 +193,13 @@ class Scheduler {
   /// is where wall-clock backstops of the runtime (the progress engine's
   /// coalescer flush + cancel backstop) move in fiber mode: a racing
   /// real-time thread would perturb post order against the deterministic
-  /// cooperative schedule, while the task runs serialized with fiber
-  /// execution at a schedule-determined point. Each cluster run adds its
-  /// task for its lifetime, keyed by `token`; tasks must be callable from
-  /// any worker. remove_idle_task blocks while an idle pass is in flight, so
-  /// after it returns the task is guaranteed never to run again.
-  void add_idle_task(const void* token, std::function<void()> task);
+  /// cooperative schedule, while the task runs inside job `job`'s turn —
+  /// serialized with that job's fibers — at a schedule-determined point (a
+  /// pass that finds the turn taken skips the task). Each cluster run adds
+  /// its task for its lifetime, keyed by `token`; tasks must be callable
+  /// from any worker. remove_idle_task blocks while an idle pass is in
+  /// flight, so after it returns the task is guaranteed never to run again.
+  void add_idle_task(const void* token, std::uint64_t job, std::function<void()> task);
   void remove_idle_task(const void* token);
 
   /// Persistent mode: stop admitting idle waits — workers exit once no fiber

@@ -4,11 +4,14 @@
 // timeline.
 //
 // Allocation is *interval-based with backfill*: acquire(ready, cost) takes
-// the earliest free gap at or after `ready` that fits `cost`. Because
-// callers are real threads racing in wall-clock time, grants can arrive out
-// of virtual-time order; backfilling makes the resulting schedule depend
-// only on the (causally correct) ready times, not on thread scheduling —
-// keeping the simulation deterministic and work-conserving.
+// the earliest free gap at or after `ready` that fits `cost`, which keeps
+// the simulation work-conserving when grants arrive out of virtual-time
+// order. Backfill makes the schedule independent of grant order only for
+// contenders that share a ready time; with unequal ready times, whichever
+// caller arrives first keeps the earlier slot. Determinism therefore comes
+// from the caller order: under the fiber scheduler a job's fibers acquire in
+// a fixed turn sequence (support/sched.hpp), while thread-per-rank callers
+// race in wall-clock order and stay order-dependent on contended workloads.
 #pragma once
 
 #include <cstddef>

@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "clmpi/capi.h"
@@ -34,6 +33,7 @@
 #include "simmpi/cluster.hpp"
 #include "simmpi/progress.hpp"
 #include "support/rng.hpp"
+#include "support/sched.hpp"
 #include "support/units.hpp"
 #include "vt/tracer.hpp"
 
@@ -441,8 +441,10 @@ TEST(ProgressContinuations, SettleWithoutBlockingWait) {
       });
       world.barrier(rank.clock());
       // Poll-only completion: the sender's settle (or the driver) fires the
-      // continuation; this rank never parks in wait().
-      while (!fired.load(std::memory_order_acquire)) std::this_thread::yield();
+      // continuation; this rank never parks in wait(). sched::yield() is
+      // std::this_thread::yield() on a rank thread, and on a fiber it hands
+      // the job's turn to the sender (a raw OS yield would keep it forever).
+      while (!fired.load(std::memory_order_acquire)) sched::yield();
       rank.clock().sync_to(done_at);
     }
   });

@@ -9,7 +9,11 @@
 //     with and without injected faults.
 //   * Oversubscription: many more ranks than workers (512 ranks on <= 4
 //     workers) completes and stays bit-identical to thread-per-rank mode.
-//     Worker count itself must be neutral too (4 workers vs 1 worker).
+//     Worker count itself must be neutral too (4 workers vs 1 worker), also
+//     on a contended fan-in with unequal ready times and offloaded kernel
+//     bodies (1, 2 and 4 workers).
+//   * The per-job turn: never two fibers of one job running at once; and
+//     sched::offload returns only after its body ran, rethrowing its error.
 //   * Context migration: rank-scoped state (the capi ThreadBinding, the
 //     strategy memo, the staging-pool node cache) must follow a rank's fiber
 //     across worker threads and never leak to another rank time-sharing the
@@ -22,24 +26,29 @@
 #include "test_util.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "clmpi/capi.h"
 #include "clmpi/runtime.hpp"
 #include "obs/metrics.hpp"
 #include "ocl/context.hpp"
+#include "ocl/kernel.hpp"
 #include "ocl/platform.hpp"
 #include "ocl/queue.hpp"
 #include "simmpi/cluster.hpp"
 #include "simmpi/fault.hpp"
 #include "simmpi/window.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "support/sched.hpp"
 #include "transfer/strategy.hpp"
 #include "vt/tracer.hpp"
@@ -299,6 +308,175 @@ TEST(SchedOversubscription, ManyRanksFewWorkersBitIdentical) {
   const Outcome threads = run_ring("threads", nullptr, kRanks, /*with_allreduce=*/false);
   const Outcome fibers = run_ring("fibers", "4", kRanks, /*with_allreduce=*/false);
   expect_equal(fibers, threads, "fibers vs threads at 512 ranks");
+}
+
+// --- worker-count neutrality under contention ---------------------------------
+
+/// Contended fan-in (the ProgressNeutrality workload's shape): three senders
+/// race variable-size eager messages into rank 0's RX resource with UNEQUAL
+/// ready times, where vt::Resource backfill alone does not make the grant
+/// order irrelevant. Every rank first launches a device kernel, so offloaded
+/// kernel bodies run on spare workers while the fan-in proceeds.
+Outcome run_fanin(const char* workers, std::uint64_t seed) {
+  EnvGuard sched("CLMPI_SCHED", "fibers");
+  EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
+  constexpr int kRanks = 4;
+  constexpr int kPerSender = 24;
+  constexpr std::size_t kItems = 4096;
+  vt::Tracer tracer;
+  const mpi::RunResult res = mpi::Cluster::run(opts(kRanks, &tracer), [&](mpi::Rank& rank) {
+    Node node(rank);
+    auto queue = node.ctx.create_queue();
+    ocl::BufferPtr buf = node.ctx.create_buffer(kItems * sizeof(float));
+    ocl::Program prog;
+    prog.define(
+        "fill",
+        [](const ocl::NDRange& r, const ocl::KernelArgs& args) {
+          auto out = args.span_of<float>(0);
+          const auto v = static_cast<float>(args.scalar(1));
+          for (std::size_t i = 0; i < r.total(); ++i) out[i] = v;
+        },
+        ocl::flops_per_item(64.0));
+    auto kernel = prog.create_kernel("fill");
+    kernel->set_arg(0, buf);
+    kernel->set_arg(1, rank.rank() + 1.0);
+    ocl::EventPtr filled =
+        queue->enqueue_ndrange(kernel, ocl::NDRange::linear(kItems), {}, rank.clock());
+
+    auto& world = rank.world();
+    std::vector<std::vector<std::byte>> bufs;
+    std::vector<mpi::Request> reqs;
+    for (int src = 1; src < kRanks; ++src) {
+      if (rank.rank() != 0 && rank.rank() != src) continue;
+      Rng sizes(seed * 977 + static_cast<std::uint64_t>(src));
+      for (int i = 0; i < kPerSender; ++i) {
+        bufs.emplace_back(1 + sizes.below(512));
+        reqs.push_back(rank.rank() == 0
+                           ? world.irecv(bufs.back(), src, src * 100 + i, rank.clock())
+                           : world.isend(bufs.back(), 0, src * 100 + i, rank.clock()));
+      }
+    }
+    for (auto& r : reqs) r.wait(rank.clock());
+
+    filled->wait(rank.clock());
+    EXPECT_FLOAT_EQ(buf->as<float>()[kItems - 1], static_cast<float>(rank.rank()) + 1.0f);
+    world.barrier(rank.clock());
+    std::vector<std::byte> out(128), in(128);
+    world.sendrecv(out, (rank.rank() + 1) % kRanks, 5, in, (rank.rank() + kRanks - 1) % kRanks,
+                   5, rank.clock());
+  });
+  return {tracer.hash(), res.makespan_s, res.faults};
+}
+
+TEST(SchedWorkerCount, ContendedFanInBitIdentical) {
+  for (std::uint64_t seed : {11u, 42u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const Outcome fibers1 = run_fanin("1", seed);
+    ASSERT_NE(fibers1.trace_hash, 0u);
+    expect_equal(run_fanin("2", seed), fibers1, "2 workers vs 1 worker");
+    expect_equal(run_fanin("4", seed), fibers1, "4 workers vs 1 worker");
+  }
+}
+
+// --- the per-job turn and offload --------------------------------------------
+
+TEST(SchedTurn, OneFiberPerJobAtATime) {
+  // Eight fibers of one job on four workers: never two of them inside a
+  // turn at once, however long a turn runs.
+  sched::Scheduler scheduler(sched::Scheduler::Options{.workers = 4});
+  std::atomic<int> inside{0};
+  std::atomic<int> max_inside{0};
+  for (int f = 0; f < 8; ++f) {
+    scheduler.spawn(
+        [&] {
+          for (int turn = 0; turn < 20; ++turn) {
+            const int now = inside.fetch_add(1) + 1;
+            int seen = max_inside.load();
+            while (now > seen && !max_inside.compare_exchange_weak(seen, now)) {
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+            inside.fetch_sub(1);
+            sched::yield();
+          }
+        },
+        "turn" + std::to_string(f), /*job=*/7);
+  }
+  scheduler.start();
+  scheduler.join();
+  EXPECT_EQ(max_inside.load(), 1);
+}
+
+TEST(SchedTurn, BatchedJobStartsInFifoRounds) {
+  // A job queued as one batch on an already running pool takes its turns
+  // in batch order: every fiber's first turn comes before any second one.
+  sched::Scheduler scheduler(sched::Scheduler::Options{.workers = 2, .persistent = true});
+  scheduler.start();
+  constexpr int kFibers = 8;
+  constexpr int kTurns = 3;
+  std::mutex mutex;
+  std::vector<int> order;
+  std::atomic<int> done{0};
+  std::vector<sched::Scheduler::Task> tasks;
+  for (int f = 0; f < kFibers; ++f) {
+    tasks.push_back({[&, f] {
+                       for (int turn = 0; turn < kTurns; ++turn) {
+                         {
+                           std::lock_guard lock(mutex);
+                           order.push_back(f);
+                         }
+                         sched::yield();
+                       }
+                       ++done;
+                     },
+                     "batch" + std::to_string(f)});
+  }
+  scheduler.spawn(std::move(tasks), /*job=*/3);
+  while (done.load() < kFibers) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  scheduler.stop();
+  scheduler.join();
+  std::vector<int> expected;
+  for (int turn = 0; turn < kTurns; ++turn) {
+    for (int f = 0; f < kFibers; ++f) expected.push_back(f);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(SchedOffload, ReturnsAfterBodyFinishedAndRethrows) {
+  sched::Scheduler scheduler(sched::Scheduler::Options{.workers = 4});
+  constexpr int kFibers = 6;
+  std::atomic<int> finished_before_return{0};
+  std::atomic<int> rethrown{0};
+  for (int f = 0; f < kFibers; ++f) {
+    scheduler.spawn(
+        [&] {
+          for (int i = 0; i < 4; ++i) {
+            std::atomic<bool> body_done{false};
+            sched::offload([&] {
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              body_done.store(true);
+            });
+            if (body_done.load()) ++finished_before_return;
+          }
+          try {
+            sched::offload([] { throw Error("kernel failed", Status::invalid_operation); });
+          } catch (const Error& e) {
+            if (e.status() == Status::invalid_operation) ++rethrown;
+          }
+        },
+        "offloader" + std::to_string(f));
+  }
+  scheduler.start();
+  scheduler.join();
+  EXPECT_EQ(finished_before_return.load(), kFibers * 4);
+  EXPECT_EQ(rethrown.load(), kFibers);
+}
+
+TEST(SchedOffload, RunsInlineOnPlainThread) {
+  ASSERT_FALSE(sched::on_fiber());
+  std::thread::id ran_on;
+  sched::offload([&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_THROW(sched::offload([] { throw Error("boom", Status::invalid_operation); }), Error);
 }
 
 // --- rank-context migration --------------------------------------------------
