@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "apps/himeno/himeno.hpp"
-#include "bench_util.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -29,11 +28,9 @@ int main() {
     cfg.iterations = 6;
 
     cfg.variant = Variant::hand_optimized;
-    const auto hand = benchutil::best_of(
-        3, [&] { return apps::himeno::run_cluster(prof, nodes, cfg); });
+    const auto hand = apps::himeno::run_cluster(prof, nodes, cfg);
     cfg.variant = Variant::clmpi;
-    const auto cl = benchutil::best_of(
-        3, [&] { return apps::himeno::run_cluster(prof, nodes, cfg); });
+    const auto cl = apps::himeno::run_cluster(prof, nodes, cfg);
 
     // Per-rank device busy time is the compute-only lower bound.
     const double ideal = cl.compute_s / cfg.iterations * 1e3;

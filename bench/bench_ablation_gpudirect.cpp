@@ -13,7 +13,6 @@
 #include <iostream>
 
 #include "apps/himeno/himeno.hpp"
-#include "bench_util.hpp"
 #include "ocl/context.hpp"
 #include "ocl/platform.hpp"
 #include "simmpi/cluster.hpp"
@@ -82,10 +81,8 @@ int main() {
     apps::himeno::Config cfg = apps::himeno::Config::size_m();
     cfg.iterations = 4;
     cfg.variant = apps::himeno::Variant::clmpi;
-    const auto before = benchutil::best_of(
-        3, [&] { return apps::himeno::run_cluster(base, nodes, cfg); });
-    const auto after = benchutil::best_of(
-        3, [&] { return apps::himeno::run_cluster(upgraded, nodes, cfg); });
+    const auto before = apps::himeno::run_cluster(base, nodes, cfg);
+    const auto after = apps::himeno::run_cluster(upgraded, nodes, cfg);
     h.add_row({std::to_string(nodes), fmt(before.gflops, 2), fmt(after.gflops, 2),
                fmt(after.gflops / before.gflops, 3) + "x"});
   }

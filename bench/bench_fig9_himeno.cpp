@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "apps/himeno/himeno.hpp"
-#include "bench_util.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -32,15 +31,12 @@ void panel(char tag, const sys::SystemProfile& prof, const std::vector<int>& nod
     Config cfg = Config::size_m();
     cfg.iterations = 6;
 
-    const auto run3 = [&] {
-      return benchutil::best_of(3, [&] { return apps::himeno::run_cluster(prof, nodes, cfg); });
-    };
     cfg.variant = Variant::serial;
-    const auto serial = run3();
+    const auto serial = apps::himeno::run_cluster(prof, nodes, cfg);
     cfg.variant = Variant::hand_optimized;
-    const auto hand = run3();
+    const auto hand = apps::himeno::run_cluster(prof, nodes, cfg);
     cfg.variant = Variant::clmpi;
-    const auto cl = run3();
+    const auto cl = apps::himeno::run_cluster(prof, nodes, cfg);
 
     const double comm = serial.makespan_s - serial.compute_s;
     t.add_row({std::to_string(nodes), fmt(serial.gflops, 2), fmt(hand.gflops, 2),

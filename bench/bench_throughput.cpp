@@ -27,7 +27,7 @@
 //   chaos_replay     7 fault classes x 3 strategies, one seeded scenario each
 //   rank_scaling     p2p ring + reduced Himeno at 100/500/1000 ranks under the
 //                    cooperative fiber scheduler (16/64 in smoke); one row per
-//                    rank count with RSS and cross-scheduler determinism gates
+//                    rank count with RSS and worker-count determinism gates
 //   service_soak     multi-tenant svc::Service burst of 240 short mixed jobs
 //                    (48 in smoke) x3 runs; gates per-job trace-hash
 //                    stability and records p99 job latency
@@ -272,13 +272,7 @@ class ScopedEnv {
 // synchronously at post time (no reliance on the driver tick for liveness).
 // The scenario is its own determinism gate: the traced run repeats three
 // times and the hashes/makespans must match exactly, and the timed reps must
-// record zero progress.blocking_waits. The traced runs are pinned to the
-// fiber launcher: three thread-per-rank senders racing equal-ready batches
-// into one RX resource get wall-order-dependent backfill slots
-// (vt/resource.hpp), so a threads-mode hash gate flakes under machine load —
-// the limitation docs/SCHEDULER.md records for contended workloads. The
-// timed reps below still run thread-per-rank; only the determinism oracle
-// needs the cooperative scheduler's deterministic grant order.
+// record zero progress.blocking_waits.
 ScenarioResult progress_starved(const Config& cfg, int msgs_per_sender) {
   constexpr int kRanks = 4;
   constexpr std::size_t kSize = 512;  // sub-eager: exercises the coalescer
@@ -309,10 +303,9 @@ ScenarioResult progress_starved(const Config& cfg, int msgs_per_sender) {
         remaining->fetch_sub(1, std::memory_order_acq_rel);
       });
     }
-    // sched::yield() is launcher-aware: on a plain thread it is an OS yield,
-    // on a fiber it suspends the fiber so the other ranks (and the driver's
-    // completions) can run — a raw std::this_thread::yield() here would
-    // livelock the cooperative scheduler.
+    // sched::yield() suspends the rank's fiber so the other ranks (and the
+    // driver's completions) can run — a raw std::this_thread::yield() here
+    // would livelock the cooperative scheduler.
     while (remaining->load(std::memory_order_acquire) != 0) {
       sched::yield();
     }
@@ -327,32 +320,27 @@ ScenarioResult progress_starved(const Config& cfg, int msgs_per_sender) {
   r.name = "progress_starved";
   r.msgs_per_rep = static_cast<double>((kRanks - 1) * msgs_per_sender);
 
-  // Determinism gate: three traced runs must agree bit-for-bit (fiber
-  // launcher — see the scenario comment; the timed reps below stay on the
-  // default thread-per-rank launcher).
-  {
-    ScopedEnv sched("CLMPI_SCHED", "fibers");
-    for (int run = 0; run < 3; ++run) {
-      vt::Tracer tracer;
-      mpi::Cluster::Options o;
-      o.nranks = kRanks;
-      o.profile = &sys::ricc();
-      o.tracer = &tracer;
-      const mpi::RunResult res = mpi::Cluster::run(o, body);
-      if (run == 0) {
-        r.trace_hash = tracer.hash();
-        r.virtual_makespan_s = res.makespan_s;
-        r.counters = res.faults;
-      } else if (tracer.hash() != r.trace_hash ||
-                 res.makespan_s != r.virtual_makespan_s) {
-        std::fprintf(stderr,
-                     "progress_starved: traced run %d diverged "
-                     "(hash 0x%016llx vs 0x%016llx, makespan %.17g vs %.17g)\n",
-                     run, static_cast<unsigned long long>(tracer.hash()),
-                     static_cast<unsigned long long>(r.trace_hash), res.makespan_s,
-                     r.virtual_makespan_s);
-        std::exit(1);
-      }
+  // Determinism gate: three traced runs must agree bit-for-bit.
+  for (int run = 0; run < 3; ++run) {
+    vt::Tracer tracer;
+    mpi::Cluster::Options o;
+    o.nranks = kRanks;
+    o.profile = &sys::ricc();
+    o.tracer = &tracer;
+    const mpi::RunResult res = mpi::Cluster::run(o, body);
+    if (run == 0) {
+      r.trace_hash = tracer.hash();
+      r.virtual_makespan_s = res.makespan_s;
+      r.counters = res.faults;
+    } else if (tracer.hash() != r.trace_hash ||
+               res.makespan_s != r.virtual_makespan_s) {
+      std::fprintf(stderr,
+                   "progress_starved: traced run %d diverged "
+                   "(hash 0x%016llx vs 0x%016llx, makespan %.17g vs %.17g)\n",
+                   run, static_cast<unsigned long long>(tracer.hash()),
+                   static_cast<unsigned long long>(r.trace_hash), res.makespan_s,
+                   r.virtual_makespan_s);
+      std::exit(1);
     }
   }
 
@@ -612,23 +600,16 @@ std::uint64_t vm_rss_kb() {
   return 0;
 }
 
-/// Fig. 8-style scaling sweeps under the cooperative scheduler: a blocking
-/// p2p-bandwidth ring and a reduced Himeno grid at rank counts far past what
-/// thread-per-rank is meant for (the paper's evaluation stops at 100 nodes;
-/// the fiber launcher runs 1000+ on a worker pool in bounded memory). Each
-/// rank count emits one scenario row whose counters carry the curve points:
-/// ranks, post-run VmRSS per mode, and the fiber-vs-threads virtual times.
+/// Fig. 8-style scaling sweeps on the fiber launcher: a blocking
+/// p2p-bandwidth ring and a reduced Himeno grid at rank counts far past the
+/// paper's evaluation (which stops at 100 nodes); a small worker pool runs
+/// 1000+ ranks in bounded memory. Each rank count emits one scenario row
+/// whose counters carry the curve points: ranks, post-run VmRSS and the
+/// Himeno virtual makespan.
 ///
-/// Determinism gates (exit(1), like progress_starved's):
-///   * ring: threads and fibers must produce bit-identical trace hash and
-///     makespan — the lockstep ring is inside the deterministic envelope of
-///     BOTH launchers at every rank count;
-///   * himeno: two fiber runs must be bit-identical (run-to-run identity).
-///     Cross-mode is recorded in the counters rather than gated: under the
-///     threads launcher Himeno's makespan varies run to run (the progress
-///     driver's wall-clock tick lands at different points in the overlapped
-///     halo exchange), while under fibers the idle-hook backstop makes every
-///     run identical — reproducibility the thread launcher cannot offer.
+/// Determinism gates (exit(1), like progress_starved's): the ring and the
+/// Himeno grid each run at 1 and at 4 workers, and each pair must produce a
+/// bit-identical trace hash and makespan.
 std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
   const std::vector<int> rank_counts =
       cfg.smoke ? std::vector<int>{16, 64} : std::vector<int>{100, 500, 1000};
@@ -649,8 +630,8 @@ std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
         s.wait(rank.clock());
       }
     };
-    auto traced_ring = [&](const char* mode) {
-      ScopedEnv sched("CLMPI_SCHED", mode);
+    auto traced_ring = [&](const char* workers) {
+      ScopedEnv wrk("CLMPI_FIBER_WORKERS", workers);
       vt::Tracer tracer;
       mpi::Cluster::Options o;
       o.nranks = nranks;
@@ -667,8 +648,8 @@ std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
     grid.jmax = 32;
     grid.kmax = 64;
     grid.iterations = 2;
-    auto traced_himeno = [&](const char* mode) {
-      ScopedEnv sched("CLMPI_SCHED", mode);
+    auto traced_himeno = [&](const char* workers) {
+      ScopedEnv wrk("CLMPI_FIBER_WORKERS", workers);
       vt::Tracer tracer;
       const apps::himeno::RunSummary s =
           apps::himeno::run_cluster(sys::ricc(), nranks, grid, &tracer);
@@ -679,54 +660,44 @@ std::vector<ScenarioResult> rank_scaling(const Config& cfg) {
     r.name = "rank_scaling_" + std::to_string(nranks);
     r.msgs_per_rep = static_cast<double>(nranks) * ring_rounds;
 
-    const auto ring_threads = traced_ring("threads");
-    const std::uint64_t rss_threads_kb = vm_rss_kb();
-    const auto ring_fibers = traced_ring("fibers");
-    const std::uint64_t rss_fibers_kb = vm_rss_kb();
-    if (ring_fibers != ring_threads) {
+    const auto ring_1w = traced_ring("1");
+    const auto ring_4w = traced_ring("4");
+    const std::uint64_t rss_kb = vm_rss_kb();
+    if (ring_4w != ring_1w) {
       std::fprintf(stderr,
-                   "rank_scaling: %d-rank ring diverged between schedulers "
-                   "(threads 0x%016llx / fibers 0x%016llx)\n",
-                   nranks, static_cast<unsigned long long>(ring_threads.first),
-                   static_cast<unsigned long long>(ring_fibers.first));
+                   "rank_scaling: %d-rank ring diverged between worker counts "
+                   "(1 worker 0x%016llx / 4 workers 0x%016llx)\n",
+                   nranks, static_cast<unsigned long long>(ring_1w.first),
+                   static_cast<unsigned long long>(ring_4w.first));
       std::exit(1);
     }
-    const auto himeno_threads = traced_himeno("threads");
-    const auto himeno_fibers = traced_himeno("fibers");
-    const auto himeno_fibers2 = traced_himeno("fibers");
-    if (himeno_fibers != himeno_fibers2) {
+    const auto himeno_1w = traced_himeno("1");
+    const auto himeno_4w = traced_himeno("4");
+    if (himeno_4w != himeno_1w) {
       std::fprintf(stderr,
-                   "rank_scaling: %d-rank himeno not reproducible under fibers "
-                   "(0x%016llx vs 0x%016llx)\n",
-                   nranks, static_cast<unsigned long long>(himeno_fibers.first),
-                   static_cast<unsigned long long>(himeno_fibers2.first));
+                   "rank_scaling: %d-rank himeno diverged between worker counts "
+                   "(1 worker 0x%016llx / 4 workers 0x%016llx)\n",
+                   nranks, static_cast<unsigned long long>(himeno_1w.first),
+                   static_cast<unsigned long long>(himeno_4w.first));
       std::exit(1);
     }
-    r.trace_hash = ring_fibers.first;
-    r.virtual_makespan_s = ring_fibers.second;
+    r.trace_hash = ring_1w.first;
+    r.virtual_makespan_s = ring_1w.second;
 
-    // Wall reps: the fiber launcher, end to end (spawn + run + teardown).
-    {
-      ScopedEnv sched("CLMPI_SCHED", "fibers");
-      obs::Registry::instance().reset();
-      const int reps = nranks >= 500 ? std::min(cfg.reps, 3) : cfg.reps;
-      r.wall = benchutil::time_wall(cfg.warmup, reps, [&] {
-        mpi::Cluster::Options o;
-        o.nranks = nranks;
-        o.profile = &sys::ricc();
-        mpi::Cluster::run(o, ring_body);
-      });
-    }
+    // Wall reps: end to end (spawn + run + teardown).
+    obs::Registry::instance().reset();
+    const int reps = nranks >= 500 ? std::min(cfg.reps, 3) : cfg.reps;
+    r.wall = benchutil::time_wall(cfg.warmup, reps, [&] {
+      mpi::Cluster::Options o;
+      o.nranks = nranks;
+      o.profile = &sys::ricc();
+      mpi::Cluster::run(o, ring_body);
+    });
     r.metrics = drain_metrics();
     r.metrics.push_back({"rank_scaling.ranks", static_cast<std::uint64_t>(nranks)});
-    r.metrics.push_back({"rank_scaling.rss_threads_kb", rss_threads_kb});
-    r.metrics.push_back({"rank_scaling.rss_fibers_kb", rss_fibers_kb});
-    r.metrics.push_back({"rank_scaling.himeno_makespan_us_fibers",
-                         static_cast<std::uint64_t>(himeno_fibers.second * 1e6)});
-    r.metrics.push_back({"rank_scaling.himeno_makespan_us_threads",
-                         static_cast<std::uint64_t>(himeno_threads.second * 1e6)});
-    r.metrics.push_back({"rank_scaling.himeno_mode_match",
-                         himeno_fibers == himeno_threads ? std::uint64_t{1} : 0});
+    r.metrics.push_back({"rank_scaling.rss_kb", rss_kb});
+    r.metrics.push_back({"rank_scaling.himeno_makespan_us",
+                         static_cast<std::uint64_t>(himeno_1w.second * 1e6)});
     out.push_back(std::move(r));
   }
   return out;

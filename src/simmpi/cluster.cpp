@@ -82,13 +82,13 @@ class ProgressDriverService {
       // race. Everything here is wall-clock-only: the envelopes' virtual
       // stamps were fixed at post time.
       for (ClusterCore* core : cores_) {
-        // Cooperative (fiber-mode) clusters get the wire part of the
-        // backstop from the scheduler's idle task instead: a wall-clock
-        // flush here would race the deterministic cooperative schedule and
-        // perturb the wire post order. Job cancellation and deadline rescue
-        // stay — both are wall-clock by definition (the latter is the
-        // real-time grace of an armed deadline).
-        core->backstop(!core->cooperative.load(std::memory_order_relaxed));
+        // The wire part of the backstop belongs to each cluster's scheduler
+        // idle task: a wall-clock flush here would race the deterministic
+        // cooperative schedule and perturb the wire post order. Job
+        // cancellation and deadline rescue stay — both are wall-clock by
+        // definition (the latter is the real-time grace of an armed
+        // deadline).
+        core->backstop(/*wire=*/false);
         core->rescue_stale_deadlines();
       }
     }
@@ -288,7 +288,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       }
     }
   }
-  // One mailbox and one coalescer per node, sized before any rank thread
+  // One mailbox and one coalescer per node, sized before any rank fiber
   // exists; the driver starts eagerly so completions progress from the
   // first post.
   for (int n = 0; n < options.nranks; ++n) {
@@ -311,9 +311,6 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   int suppressed = 0;
   std::vector<char> rank_done(static_cast<std::size_t>(options.nranks), 0);
 
-  // One body shared by both launchers; runs on a dedicated thread
-  // (CLMPI_SCHED=threads, the default) or on a scheduler fiber
-  // (CLMPI_SCHED=fibers).
   const auto rank_main = [&](int r) {
     ctx::current().blocked_mirror = &core.blocked_sites[static_cast<std::size_t>(r)];
     // Tenancy: the rank task (and, via spawn_service propagation, every
@@ -361,24 +358,19 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     sched::note_progress();
   };
 
-  std::vector<std::thread> threads;
+  // Ranks run as fibers: job-tagged on a shared service scheduler, job 0 on
+  // a private one. The idle task is the progress engine's wire backstop: it
+  // runs only at scheduler quiescence, inside the job's turn, so batch
+  // composition stays a function of the cooperative schedule rather than of
+  // a racing real-time tick. It is registered for exactly the run's
+  // lifetime; `&core` keys its removal.
   std::optional<sched::Scheduler> scheduler;
   sched::Scheduler* external = options.scheduler;
-  sched::Scheduler* fibers = external;
-  if (fibers == nullptr && sched::mode_from_env() == sched::Mode::fibers) {
-    fibers = &scheduler.emplace(sched::Scheduler::Options{});
-  }
-  if (fibers != nullptr) {
-    // Ranks run as fibers: job-tagged on a shared service scheduler, job 0
-    // on a private one. The idle task is the cooperative stand-in for the
-    // progress driver's wall-clock backstop: it runs only at scheduler
-    // quiescence, inside the job's turn, so batch composition stays a
-    // function of the cooperative schedule rather than of a racing
-    // real-time tick. It is registered for exactly the run's lifetime;
-    // `&core` keys its removal.
-    const std::uint64_t job_tag = external != nullptr ? options.job_tag : 0;
-    core.cooperative.store(true, std::memory_order_relaxed);
-    fibers->add_idle_task(&core, job_tag, [&core] { core.backstop(/*wire=*/true); });
+  sched::Scheduler* fibers =
+      external != nullptr ? external : &scheduler.emplace(sched::Scheduler::Options{});
+  const std::uint64_t job_tag = external != nullptr ? options.job_tag : 0;
+  fibers->add_idle_task(&core, job_tag, [&core] { core.backstop(/*wire=*/true); });
+  {
     // One batch, so on a running service scheduler no rank takes a turn
     // before its peers are queued.
     const std::string tag =
@@ -388,13 +380,8 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       ranks.push_back({[&rank_main, r] { rank_main(r); }, tag + std::to_string(r)});
     }
     fibers->spawn(std::move(ranks), job_tag);
-    if (scheduler) scheduler->start();
-  } else {
-    threads.reserve(static_cast<std::size_t>(options.nranks));
-    for (int r = 0; r < options.nranks; ++r) {
-      threads.emplace_back([&rank_main, r] { rank_main(r); });
-    }
   }
+  if (scheduler) scheduler->start();
 
   if (options.watchdog_seconds > 0.0) {
     double watchdog_s = options.watchdog_seconds;
@@ -424,14 +411,12 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
         std::cerr << "  rank" << r << ": blocked at "
                   << (site != nullptr ? site : "<running or unknown>") << "\n";
       }
-      if (const sched::Scheduler* snap_from = scheduler ? &*scheduler : external) {
-        for (const auto& f : snap_from->snapshot()) {
-          // On a shared service scheduler, only this job's fibers are ours
-          // to report.
-          if (external != nullptr && f.job != options.job_tag) continue;
-          std::cerr << "  fiber " << f.label << ": "
-                    << (f.blocked != nullptr ? f.blocked : "<runnable>") << "\n";
-        }
+      for (const auto& f : fibers->snapshot()) {
+        // On a shared service scheduler, only this job's fibers are ours to
+        // report.
+        if (f.job != job_tag) continue;
+        std::cerr << "  fiber " << f.label << ": "
+                  << (f.blocked != nullptr ? f.blocked : "<runnable>") << "\n";
       }
       for (const auto& s : obs::Registry::instance().snapshot()) {
         if (s.value != 0) std::cerr << "  metric " << s.name << " = " << s.value << "\n";
@@ -451,13 +436,11 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     // the service fibers they spawned).
     std::unique_lock lock(state_mutex);
     done_cv.wait(lock, [&] { return remaining == 0; });
-  } else if (scheduler) {
+  } else {
     // Waits for every fiber — ranks and the service fibers they spawned
     // (queue workers, dispatchers, collective progression) — then joins the
     // worker pool.
     scheduler->join();
-  } else {
-    for (auto& t : threads) t.join();
   }
   // Join non-blocking-collective progression services before the mailboxes
   // and network (owned by `core`) go away. They terminate once every rank
@@ -469,7 +452,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   }
   // Detach the idle task before `core` is torn down; removal blocks while an
   // idle pass is mid-flight, so the task never touches a dead core.
-  if (fibers != nullptr) fibers->remove_idle_task(&core);
+  fibers->remove_idle_task(&core);
   // The shared driver dereferences request states that the mailboxes keep
   // alive; detach from it before `core` (and everything it owns) is torn
   // down.

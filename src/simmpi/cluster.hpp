@@ -1,10 +1,11 @@
 // Cluster: the top-level runner of the simulated machine.
 //
-// Cluster::run spawns one real thread per MPI rank (one rank per node, as in
-// the paper's evaluation), executes the supplied body on each, and reports
-// per-rank virtual end times. A real-time watchdog converts accidental
-// communication deadlocks (which block real threads, exactly as they would
-// block real MPI processes) into a diagnosed abort instead of a hang.
+// Cluster::run spawns one fiber per MPI rank (one rank per node, as in the
+// paper's evaluation) on the cooperative scheduler (support/sched.hpp),
+// executes the supplied body on each, and reports per-rank virtual end
+// times. A real-time watchdog converts accidental communication deadlocks
+// (which block the ranks forever, exactly as they would block real MPI
+// processes) into a diagnosed abort instead of a hang.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +90,8 @@ class Cluster {
 
     // --- service (multi-tenant) mode — set by svc::Service ---------------
     /// Run rank fibers on this external persistent scheduler instead of
-    /// creating one (overrides CLMPI_SCHED; the run is always cooperative).
-    /// The scheduler must already be started and outlive the run.
+    /// creating a private one. The scheduler must already be started and
+    /// outlive the run.
     sched::Scheduler* scheduler{nullptr};
     /// Tenancy tag for fibers spawned onto the external scheduler (the
     /// fair-pick round robin keys on it). Meaningful only with `scheduler`.
@@ -101,7 +102,7 @@ class Cluster {
   };
 
   /// Run `body` on every rank; blocks until all ranks return. The first
-  /// exception thrown by any rank is re-thrown here after all threads join.
+  /// exception thrown by any rank is re-thrown here after all ranks finish.
   static RunResult run(const Options& options, const std::function<void(Rank&)>& body);
 };
 

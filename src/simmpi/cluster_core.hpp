@@ -42,24 +42,19 @@ struct ClusterCore {
   /// Progress engine (progress.hpp): one send coalescer per SOURCE node.
   std::deque<SendCoalescer> coalescers;
 
-  /// True while this cluster runs under the cooperative fiber scheduler.
-  /// The progress driver's wall-clock tick must then leave the coalescers
-  /// alone: a real-time flush races the (deterministic) cooperative schedule
-  /// and perturbs wire post order. The scheduler's idle task runs the
-  /// backstop instead, at quiescence points serialized with fiber execution.
-  std::atomic<bool> cooperative{false};
-
-  /// The liveness backstop, run by the progress driver's tick, the fiber
-  /// scheduler's idle task and teardown. With `wire` set it puts every
-  /// queued batch on the wire and drains mailbox completion queues; then it
-  /// fails a cancelled job's still-pending operations.
+  /// The liveness backstop, run by the fiber scheduler's idle task and
+  /// teardown (with `wire`) and by the progress driver's tick (without).
+  /// With `wire` set it puts every queued batch on the wire and drains
+  /// mailbox completion queues — only at points serialized with the
+  /// cooperative schedule, since a real-time flush would perturb wire post
+  /// order; then it fails a cancelled job's still-pending operations.
   void backstop(bool wire);
 
   /// Register with the progress driver: a process-wide service thread that
-  /// every ProgressConfig::driver_tick runs the backstop (without the wire
-  /// part for cooperative clusters) and rescues stale deadlines — so no rank
-  /// has to block to make a peer's operation complete. One shared thread
-  /// services every live cluster, so a run never pays a driver spawn + join.
+  /// every ProgressConfig::driver_tick runs the cancel part of the backstop
+  /// and rescues stale deadlines — so no rank has to block to make a peer's
+  /// operation complete. One shared thread services every live cluster, so a
+  /// run never pays a driver spawn + join.
   void start_progress_driver();
   /// Deregister and run one final backstop + deadline-rescue pass; must run
   /// before the mailboxes are torn down.
@@ -71,8 +66,8 @@ struct ClusterCore {
   std::mutex win_mutex;
   std::unordered_map<std::uint64_t, std::shared_ptr<WindowShared>> windows;
 
-  /// Auxiliary runtime services (non-blocking collective progression) —
-  /// fibers under the cooperative scheduler, threads otherwise. Registered
+  /// Auxiliary runtime services (non-blocking collective progression), run
+  /// as fibers of the cluster's scheduler. Registered
   /// here so Cluster::run joins them before tearing the cluster down — a
   /// progression task must never outlive the mailboxes.
   std::mutex aux_mutex;

@@ -21,8 +21,6 @@ struct MailboxMetrics {
   obs::Counter& shard_hit = obs::Registry::instance().counter("simmpi.mailbox.shard_hit");
   obs::Counter& wildcard_slowpath =
       obs::Registry::instance().counter("simmpi.mailbox.wildcard_slowpath");
-  obs::Counter& probe_wakeup =
-      obs::Registry::instance().counter("simmpi.mailbox.probe_wakeup");
   obs::Counter& eager_inline =
       obs::Registry::instance().counter("simmpi.mailbox.eager_inline");
   obs::Counter& unexpected = obs::Registry::instance().counter("simmpi.mailbox.unexpected");
@@ -187,18 +185,6 @@ void Mailbox::settle(std::vector<Completion>& batch) {
   completions_.settle_batch(batch);
 }
 
-void Mailbox::note_arrival() {
-  arrivals_.fetch_add(1, std::memory_order_seq_cst);
-  sched::note_progress();
-  if (probe_waiters_.load(std::memory_order_seq_cst) > 0) {
-    if (obs::metrics_enabled()) metrics().probe_wakeup.add();
-    // Empty critical section: a probe between its predicate check and its
-    // block would otherwise miss the notification.
-    { std::lock_guard lock(probe_mutex_); }
-    arrival_cv_.notify_all();
-  }
-}
-
 vt::Resource::Span Mailbox::charge_attempts(const Envelope& env, vt::TimePoint ready,
                                             double bw_cap) {
   auto span = net_->transfer(env.src_node, node_, ready, env.bytes, bw_cap);
@@ -313,7 +299,7 @@ void Mailbox::post_send(Envelope env) {
     deliver(env, pr, batch);
   } else {
     if (obs::metrics_enabled()) metrics().unexpected.add();
-    note_arrival();
+    sched::note_progress();
   }
   settle(batch);
 }
@@ -406,10 +392,9 @@ void Mailbox::post_send_batch(std::vector<Envelope>& envs) {
   }
   if (unexpected > 0) {
     if (obs::metrics_enabled()) metrics().unexpected.add(unexpected);
-    // One epoch bump for the whole batch: probes re-scan the queues on any
-    // epoch change, so collapsing N wakeups into one is observationally
-    // equivalent (and N-1 fewer futex wakes).
-    note_arrival();
+    // One progress bump for the whole batch: probes re-scan the queues on
+    // every resume, so one bump is observationally equivalent to N.
+    sched::note_progress();
   }
   settle(batch);
 }
@@ -480,15 +465,7 @@ void Mailbox::post_recv(PostedRecv pr) {
 std::pair<MsgStatus, vt::TimePoint> Mailbox::probe(int src_rank, int tag, int context) {
   const bool wildcard = src_rank == any_source || tag == any_tag;
 
-  probe_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  struct WaiterGuard {
-    std::atomic<int>& count;
-    ~WaiterGuard() { count.fetch_sub(1, std::memory_order_seq_cst); }
-  } guard{probe_waiters_};
-
   for (;;) {
-    const std::uint64_t before = arrivals_.load(std::memory_order_seq_cst);
-
     const Envelope* hit = nullptr;
     MsgStatus st;
     vt::TimePoint available;
@@ -523,18 +500,10 @@ std::pair<MsgStatus, vt::TimePoint> Mailbox::probe(int src_rank, int tag, int co
     }
     if (hit != nullptr) return {st, available};
 
-    if (sched::on_fiber()) {
-      // Fiber path: yield and rescan. The arrival epoch is not needed — the
-      // rescan itself observes whatever arrived while we were suspended.
-      ctx::BlockedScope blocked("mpi.probe");
-      sched::yield();
-      continue;
-    }
+    // Yield and rescan: the rescan observes whatever arrived while we were
+    // suspended, so no arrival needs to wake us.
     ctx::BlockedScope blocked("mpi.probe");
-    std::unique_lock lock(probe_mutex_);
-    arrival_cv_.wait(lock, [&] {
-      return arrivals_.load(std::memory_order_seq_cst) != before;
-    });
+    sched::yield();
   }
 }
 

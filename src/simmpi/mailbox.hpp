@@ -37,7 +37,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -276,9 +275,6 @@ class Mailbox {
   /// Push `batch` (if non-empty) and run the completion queue.
   void settle(std::vector<Completion>& batch);
 
-  /// Bump the arrival counter and wake blocked probes.
-  void note_arrival();
-
   Network* net_;
   int node_;
 
@@ -292,12 +288,6 @@ class Mailbox {
 
   /// Global posting/arrival order stamps (monotone, not dense).
   std::atomic<std::uint64_t> seq_{0};
-
-  /// Probe support: arrival epoch + cv, woken on every unexpected arrival.
-  std::mutex probe_mutex_;
-  std::condition_variable arrival_cv_;
-  std::atomic<std::uint64_t> arrivals_{0};
-  std::atomic<int> probe_waiters_{0};
 
   CompletionQueue completions_;
 };

@@ -8,8 +8,9 @@
 //
 //   * Continuations (request.hpp): completion callbacks chain async stages
 //     without a thread parked in wait(); the blocking waits are thin shims.
-//   * Driver (cluster.cpp): a per-cluster thread that flushes coalescers,
-//     drains mailbox completion queues and fires deadline rescues on a fixed
+//   * Backstop (cluster.cpp): the scheduler's idle task flushes coalescers
+//     and drains mailbox completion queues at quiescence, and a shared
+//     driver thread fires deadline rescues and job cancellation on a fixed
 //     real-time tick, so no rank has to block to make a peer's operation
 //     complete.
 //   * Coalescing (this file): bursts of sub-eager sends to the same
@@ -25,15 +26,15 @@
 //              coalesce_horizon of VIRTUAL time past the batch's oldest
 //              message (the old batch flushes first, then the new message
 //              starts a fresh batch);
-//   wait     — a thread is about to block on a request from this source
+//   wait     — a rank is about to block on a request from this source
 //              node (RequestState::flush hint), so everything queued here
 //              must be on the wire first;
 //   direct   — a non-coalescable send to the same (mailbox, context) is
 //              about to be posted directly; the queued batch flushes first
 //              so the mailbox sees arrivals in program order (wildcard
 //              receives match on global arrival stamps);
-//   tick     — the progress driver's real-time backstop, which bounds how
-//              long a batch can sit queued when nothing ever blocks.
+//   tick     — the backstop (scheduler idle task, teardown), which bounds
+//              how long a batch can sit queued when nothing ever blocks.
 #pragma once
 
 #include <atomic>

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <new>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -161,23 +160,16 @@ void wait_all(std::span<Request> requests, vt::Clock& clock) {
 
 std::size_t wait_any(std::span<Request> requests, vt::Clock& clock) {
   CLMPI_REQUIRE(!requests.empty(), "wait_any over zero requests");
-  struct Shared {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t winner{SIZE_MAX};
-  };
-  auto shared = std::make_shared<Shared>();
   // Any of the waited requests may depend on traffic still queued in a
   // coalescer (ours, or a peer's that our queued sends would unblock):
-  // flush the hinted coalescers before parking.
+  // flush the hinted coalescers before polling.
   for (Request& r : requests) {
     CLMPI_REQUIRE(r.valid(), "wait_any over a null request");
     r.state()->flush_hinted();
   }
-  if (sched::on_fiber()) {
-    // Fiber path: poll the done flags directly instead of arming completion
-    // callbacks — the lock-free done() peek per resume is cheaper than a
-    // callback registration per request, and there is no cv to wake.
+  {
+    // Poll the lock-free done flags per resume: no completion callback to
+    // register per request, no wakeup to deliver.
     ctx::BlockedScope blocked("mpi.wait_any");
     const auto any_done = [&] {
       for (const Request& r : requests) {
@@ -186,25 +178,11 @@ std::size_t wait_any(std::span<Request> requests, vt::Clock& clock) {
       return false;
     };
     while (!any_done()) sched::yield();
-  } else {
-    ctx::BlockedScope blocked("mpi.wait_any");
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      requests[i].on_complete([shared, i](vt::TimePoint, const MsgStatus&) {
-        {
-          std::lock_guard lock(shared->mutex);
-          if (shared->winner == SIZE_MAX) shared->winner = i;
-        }
-        shared->cv.notify_all();
-      });
-    }
-    std::unique_lock lock(shared->mutex);
-    shared->cv.wait(lock, [&] { return shared->winner != SIZE_MAX; });
   }
   // At least one request has completed. Pick the earliest *virtual*
   // completion among the requests that are done (lowest index on ties), not
-  // the one whose callback happened to fire first in real time: whether the
-  // waiter arrives before or after later completions must not change the
-  // returned index.
+  // the first one the poll happened to see: whether the waiter arrives
+  // before or after later completions must not change the returned index.
   std::size_t winner = SIZE_MAX;
   vt::TimePoint best{};
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -251,7 +229,6 @@ bool RequestState::resolve(vt::TimePoint when, MsgStatus st, std::exception_ptr 
   std::vector<std::function<void(vt::TimePoint, const MsgStatus&,
                                  const std::exception_ptr&)>>
       to_run;
-  bool notify = false;
   {
     std::lock_guard lock(mutex_);
     if (done_) {
@@ -288,11 +265,7 @@ bool RequestState::resolve(vt::TimePoint when, MsgStatus st, std::exception_ptr 
     // Release-publish AFTER the completion fields: a lock-free done() reader
     // may then read them without the mutex.
     done_flag_.store(true, std::memory_order_release);
-    // Notify elision: spinning waiters and continuation-driven consumers are
-    // not registered, so the futex wake is paid only for true cv blockers.
-    notify = waiters_ > 0;
   }
-  if (notify) cv_.notify_all();
   sched::note_progress();
   for (auto& fn : to_run) fn(when, st, error);
   return true;
@@ -343,29 +316,13 @@ vt::TimePoint RequestState::block_until_done() {
     // answer): put that on the wire before doing anything else.
     flush_hinted();
     if (obs::metrics_enabled()) progress_metrics().blocking_waits.add();
-    // Cooperative spin before the cv slow path: on a small (often 1-core)
-    // host a yield hands the CPU straight to the completing thread, and the
-    // common fast handoff resolves without a futex sleep/wake round trip.
-    // On a fiber the poll-yield path below IS the cheap handoff; skip the
-    // OS-thread spin, it would stall every fiber sharing this worker.
-    if (!sched::on_fiber()) {
-      for (int i = 0; i < 128 && !done(); ++i) std::this_thread::yield();
-    }
-  }
-  // A deadline-armed request needs no timer here: the progress driver's
-  // tick rescues it once the grace has passed since arming.
-  if (!done() && sched::on_fiber()) {
-    // Fiber path: stay in the scheduler's ready queue and re-poll the done
+    // Poll-yield: stay in the scheduler's ready queue and re-poll the done
     // flag per resume — the worker thread is never parked, so peer ranks
-    // (and the service fibers completing this request) keep running.
+    // (and the service fibers completing this request) keep running. A
+    // deadline-armed request needs no timer here: the progress driver's
+    // tick rescues it once the grace has passed since arming.
     ctx::BlockedScope blocked("mpi.request.wait");
     while (!done()) sched::yield();
-  } else if (!done()) {
-    ctx::BlockedScope blocked("mpi.request.wait");
-    std::unique_lock lock(mutex_);
-    ++waiters_;
-    cv_.wait(lock, [&] { return done_; });
-    --waiters_;
   }
   // done() held at least once: the completion fields are frozen, so they
   // are safe to read without the mutex.

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <cstddef>
 #include <functional>
@@ -160,8 +159,8 @@ class RequestState {
     return done_flag_.load(std::memory_order_acquire);
   }
   /// Blocks until complete; rethrows the operation's exception on failure.
-  /// Flushes the coalescer named by the flush hint, then spins briefly
-  /// (cooperative yields) before the condition-variable slow path; counts
+  /// Flushes the coalescer named by the flush hint, then poll-yields
+  /// (sched::yield) until the done flag is up; counts
   /// progress.blocking_waits on entry when the request is still pending.
   vt::TimePoint block_until_done();
   /// The carried failure, if any (nullptr while pending or on success).
@@ -194,14 +193,10 @@ class RequestState {
   [[nodiscard]] std::exception_ptr make_timeout_error() const;
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   bool done_{false};
   /// Lock-free mirror of done_, release-published after the completion
   /// fields are written.
   std::atomic<bool> done_flag_{false};
-  /// Blocked (cv) waiters; settle elides the notify_all when zero — spinning
-  /// and continuation-driven waiters never pay the futex wake.
-  int waiters_{0};
   SendCoalescer* flush_co_{nullptr};
   bool deadline_armed_{false};
   /// True when a deadline timeout or a cancel fixed the outcome; a late real

@@ -15,8 +15,9 @@
 //
 // ctx::current() always returns a context: the scheduler installs the running
 // fiber's around each resume, and a plain thread falls back to a thread_local
-// instance — so call sites need no mode check and threads-mode behaviour is
-// exactly the old thread_local behaviour.
+// instance — so call sites need no check, and plain threads (the progress
+// driver, queue workers created outside a cluster) keep plain thread_local
+// behaviour.
 #pragma once
 
 #include <atomic>

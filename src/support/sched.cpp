@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -34,7 +33,7 @@ namespace clmpi::sched {
 namespace {
 
 /// Global progress epoch (idle-backoff heartbeat). Only maintained while at
-/// least one scheduler is live, so threads-mode hot paths pay one relaxed
+/// least one scheduler is live, so plain-thread hot paths pay one relaxed
 /// load and nothing else.
 std::atomic<int> g_schedulers{0};
 std::atomic<std::uint64_t> g_epoch{0};
@@ -220,8 +219,8 @@ namespace {
   } catch (...) {
     // Fiber bodies own their error handling (rank bodies report through the
     // cluster's first_error path, services poison their events/requests). An
-    // exception escaping to here would have killed the process in threads
-    // mode too — keep that contract.
+    // exception escaping to here would kill a plain thread too — keep that
+    // contract.
     CLMPI_WARN("unhandled exception escaped a scheduler fiber; terminating");
     std::terminate();
   }
@@ -240,12 +239,6 @@ namespace {
 }
 
 }  // namespace
-
-Mode mode_from_env() {
-  const char* env = std::getenv("CLMPI_SCHED");
-  if (env != nullptr && std::string_view(env) == "fibers") return Mode::fibers;
-  return Mode::threads;
-}
 
 bool on_fiber() noexcept { return t_current != nullptr; }
 

@@ -1,11 +1,10 @@
 // Cooperative rank scheduler: stackful fibers over a small worker pool.
 //
-// Thread-per-rank caps simulated cluster size at what the OS will give us in
-// threads; the paper's evaluation runs 100 nodes, and the scaling benches
-// want 1000+. In fiber mode (CLMPI_SCHED=fibers) each rank body runs as a
+// Every mpi::Cluster::run launches its ranks here: each rank body runs as a
 // resumable ucontext fiber, multiplexed over `CLMPI_FIBER_WORKERS` OS
-// threads (default: hardware concurrency). Every blocking point in the
-// runtime — Request waits, collective rendezvous, window fences, mailbox
+// threads (default: hardware concurrency), so the paper's 100-node runs and
+// the 1000-rank scaling benches fit in a small pool. Every blocking point in
+// the runtime — Request waits, collective rendezvous, window fences, mailbox
 // probes, event waits, the dispatcher's and the queue workers' idle waits —
 // goes through sched::wait / sched::yield, which suspends the FIBER instead
 // of parking the OS thread.
@@ -30,14 +29,16 @@
 // turn fixes the order in which a job's fibers reach shared virtual
 // resources (vt::Resource backfill alone is order-independent only for
 // contenders with equal ready times). So trace hashes, makespans and fault
-// counters of a fiber run do not depend on the worker count or on the
-// wall-clock interleaving (tests/test_sched.cpp holds 1, 2 and 4 workers to
-// that). Threads mode keeps real-time grant order and matches fibers only on
-// workloads without unequal-ready contention.
+// counters of a run do not depend on the worker count or on the wall-clock
+// interleaving (tests/test_sched.cpp holds 1, 2 and 4 workers to that).
+//
+// Plain threads: code outside a scheduler (a queue created on a test's main
+// thread, the progress driver) still works — yield() is an OS yield there,
+// wait() a plain cv wait and spawn_service() a std::thread.
 //
 // Sanitizers: fiber stack switches are annotated for ASan
 // (__sanitizer_{start,finish}_switch_fiber) and TSan (__tsan_*_fiber), so
-// CLMPI_SANITIZE=address / thread builds run fiber mode cleanly.
+// CLMPI_SANITIZE=address / thread builds run fibers cleanly.
 #pragma once
 
 #include <condition_variable>
@@ -53,13 +54,6 @@
 #include "support/context.hpp"
 
 namespace clmpi::sched {
-
-enum class Mode { threads, fibers };
-
-/// CLMPI_SCHED: "fibers" selects the cooperative scheduler, anything else
-/// (including unset) the classic thread-per-rank launcher. Read per call so
-/// tests can flip modes between cluster runs.
-Mode mode_from_env();
 
 /// True when the calling code runs on a scheduler fiber.
 [[nodiscard]] bool on_fiber() noexcept;
@@ -87,8 +81,9 @@ void offload(const std::function<void()>& fn);
 void note_progress() noexcept;
 
 /// Fiber-aware condition wait. Publishes `site` as the caller's blocked site
-/// (watchdog diagnostics) in both modes. Fiber path: unlock-yield-relock
-/// until `pred()` holds — the cv is not used (poll-yield needs no wakeup).
+/// (watchdog diagnostics) on fibers and plain threads alike. Fiber path:
+/// unlock-yield-relock until `pred()` holds — the cv is not used (poll-yield
+/// needs no wakeup).
 /// Thread path: exactly cv.wait(lock, pred). `site` must be a string
 /// literal (or otherwise outlive the wait).
 template <typename Pred>
@@ -131,7 +126,7 @@ class ServiceHandle {
 /// Spawn `fn` as a service task labelled `label` (becomes its log label).
 ServiceHandle spawn_service(std::string label, std::function<void()> fn);
 
-/// The fiber scheduler backing one Cluster::run in fiber mode — or, in
+/// The fiber scheduler backing one standalone Cluster::run — or, in
 /// persistent mode, the process-wide worker pool a svc::Service multiplexes
 /// MANY concurrent cluster runs (jobs) onto.
 ///
@@ -190,8 +185,9 @@ class Scheduler {
 
   /// Register / remove a quiescence backstop, run by a worker after a full
   /// pass over the ready queue advanced nothing (before the idle nap). This
-  /// is where wall-clock backstops of the runtime (the progress engine's
-  /// coalescer flush + cancel backstop) move in fiber mode: a racing
+  /// is where the wire backstop of the runtime (the progress engine's
+  /// coalescer flush and completion drain) runs instead of on the progress
+  /// driver's wall-clock tick: a racing
   /// real-time thread would perturb post order against the deterministic
   /// cooperative schedule, while the task runs inside job `job`'s turn —
   /// serialized with that job's fibers — at a schedule-determined point (a

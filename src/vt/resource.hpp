@@ -9,9 +9,8 @@
 // order. Backfill makes the schedule independent of grant order only for
 // contenders that share a ready time; with unequal ready times, whichever
 // caller arrives first keeps the earlier slot. Determinism therefore comes
-// from the caller order: under the fiber scheduler a job's fibers acquire in
-// a fixed turn sequence (support/sched.hpp), while thread-per-rank callers
-// race in wall-clock order and stay order-dependent on contended workloads.
+// from the caller order: a job's fibers acquire in a fixed turn sequence
+// (support/sched.hpp).
 #pragma once
 
 #include <cstddef>

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "apps/advection/advection.hpp"
@@ -449,35 +450,8 @@ TEST(HaloCApi, CreateStartCompleteFreeRoundTrip) {
 
 // --- the stencil app suite ---------------------------------------------------
 
-/// RAII environment override (restores the previous value on scope exit).
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_{false};
-  std::string old_;
-};
+/// CLMPI_FIBER_WORKERS is read per Cluster::run; nullptr keeps the default.
+using testutil::EnvGuard;
 
 struct AppOutcome {
   std::uint64_t trace_hash{0};
@@ -491,24 +465,28 @@ void expect_identical(const AppOutcome& a, const AppOutcome& b, const char* what
   EXPECT_EQ(a.trace_hash, b.trace_hash) << what;
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s) << what;
   EXPECT_DOUBLE_EQ(a.value, b.value) << what;
-}
-
-/// The schedule-independent facts of a chaos run: fault verdicts are drawn
-/// from per-channel-sequence RNG streams and the numerics from the delivered
-/// bytes, so these must agree even between runs whose wire-slot schedules
-/// legitimately differ (see AdvectionSeedIdenticalAcrossRunsAndModes).
-void expect_same_verdicts(const AppOutcome& a, const AppOutcome& b, const char* what) {
   EXPECT_EQ(a.faults.messages, b.faults.messages) << what;
   EXPECT_EQ(a.faults.drops, b.faults.drops) << what;
   EXPECT_EQ(a.faults.duplicates, b.faults.duplicates) << what;
   EXPECT_EQ(a.faults.delays, b.faults.delays) << what;
   EXPECT_EQ(a.faults.retries, b.faults.retries) << what;
   EXPECT_EQ(a.faults.timeouts, b.faults.timeouts) << what;
-  EXPECT_DOUBLE_EQ(a.value, b.value) << what;
 }
 
-AppOutcome run_jacobi(const char* mode, int nranks, int px, int py) {
-  EnvGuard sched("CLMPI_SCHED", mode);
+/// Run `run(workers)` at 1 fiber worker twice, then at 2 and at 4, and hold
+/// every run to the first: the per-job turn makes a run's virtual results a
+/// function of its inputs alone, whatever the pool size. Returns the first.
+template <typename Run>
+AppOutcome expect_worker_count_neutral(Run run, const std::string& what) {
+  const AppOutcome one = run("1");
+  expect_identical(one, run("1"), (what + " re-run").c_str());
+  expect_identical(one, run("2"), (what + " at 2 workers").c_str());
+  expect_identical(one, run("4"), (what + " at 4 workers").c_str());
+  return one;
+}
+
+AppOutcome run_jacobi(const char* workers, int nranks, int px, int py) {
+  EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
   vt::Tracer tracer;
   apps::jacobi2d::Config cfg = apps::jacobi2d::Config::size_s();
   cfg.px = px;
@@ -518,8 +496,8 @@ AppOutcome run_jacobi(const char* mode, int nranks, int px, int py) {
   return {tracer.hash(), run.makespan_s, run.residual};
 }
 
-AppOutcome run_advection(const char* mode, int nranks) {
-  EnvGuard sched("CLMPI_SCHED", mode);
+AppOutcome run_advection(const char* workers, int nranks) {
+  EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
   vt::Tracer tracer;
   apps::advection::Config cfg = apps::advection::Config::size_s();
   cfg.iterations = 8;
@@ -527,8 +505,8 @@ AppOutcome run_advection(const char* mode, int nranks) {
   return {tracer.hash(), run.makespan_s, run.mass};
 }
 
-AppOutcome run_overlap(const char* mode, int nranks, int px, int py) {
-  EnvGuard sched("CLMPI_SCHED", mode);
+AppOutcome run_overlap(const char* workers, int nranks, int px, int py) {
+  EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
   vt::Tracer tracer;
   apps::overlap::Config cfg = apps::overlap::Config::size_s();
   cfg.px = px;
@@ -538,22 +516,22 @@ AppOutcome run_overlap(const char* mode, int nranks, int px, int py) {
   return {tracer.hash(), run.makespan_s, run.residual};
 }
 
-TEST(HaloApps, Jacobi2dThreadsVsFibersBitIdentical) {
-  expect_identical(run_jacobi("threads", 4, 2, 2), run_jacobi("fibers", 4, 2, 2),
-                   "jacobi2d 2x2");
+TEST(HaloApps, Jacobi2dWorkerCountBitIdentical) {
+  expect_worker_count_neutral([](const char* w) { return run_jacobi(w, 4, 2, 2); },
+                              "jacobi2d 2x2");
 }
 
-TEST(HaloApps, AdvectionThreadsVsFibersBitIdentical) {
-  expect_identical(run_advection("threads", 4), run_advection("fibers", 4),
-                   "advection ring of 4");
+TEST(HaloApps, AdvectionWorkerCountBitIdentical) {
+  expect_worker_count_neutral([](const char* w) { return run_advection(w, 4); },
+                              "advection ring of 4");
   // nranks == 1: the ring degenerates to two self edges.
-  expect_identical(run_advection("threads", 1), run_advection("fibers", 1),
-                   "advection self-ring");
+  expect_worker_count_neutral([](const char* w) { return run_advection(w, 1); },
+                              "advection self-ring");
 }
 
-TEST(HaloApps, OverlapThreadsVsFibersBitIdentical) {
-  expect_identical(run_overlap("threads", 4, 2, 2), run_overlap("fibers", 4, 2, 2),
-                   "overlap 2x2");
+TEST(HaloApps, OverlapWorkerCountBitIdentical) {
+  expect_worker_count_neutral([](const char* w) { return run_overlap(w, 4, 2, 2); },
+                              "overlap 2x2");
 }
 
 TEST(HaloApps, AdvectionConservesMassExactly) {
@@ -578,7 +556,8 @@ TEST(HaloApps, ResidualsArePositiveAndDecompositionInsensitive) {
 
 /// Delivery-preserving chaos (reordering, latency spikes, stalls): the apps
 /// must stay byte-correct and the trace hash must be a pure function of the
-/// fault seed — identical across re-runs AND across scheduler modes.
+/// fault seed — identical across re-runs AND across fiber-pool sizes (the
+/// "modes" these tests are named for).
 mpi::FaultPlan chaos_plan(std::uint64_t seed) {
   mpi::FaultPlan p;
   p.seed = seed;
@@ -589,9 +568,9 @@ mpi::FaultPlan chaos_plan(std::uint64_t seed) {
 }
 
 template <typename RunRank, typename Cfg>
-AppOutcome run_chaos(const char* mode, std::uint64_t seed, int nranks, RunRank run_rank,
+AppOutcome run_chaos(const char* workers, std::uint64_t seed, int nranks, RunRank run_rank,
                      const Cfg& cfg, const sys::SystemProfile& prof) {
-  EnvGuard sched("CLMPI_SCHED", mode);
+  EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
   vt::Tracer tracer;
   auto o = opts(nranks, prof, &tracer);
   o.faults = chaos_plan(seed);
@@ -611,50 +590,32 @@ TEST(HaloChaos, Jacobi2dSeedIdenticalAcrossRunsAndModes) {
     return apps::jacobi2d::run_rank(r, c).residual;
   };
   for (const std::uint64_t seed : {7ull, 23ull}) {
-    const auto a = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto b = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto c = run_chaos("fibers", seed, 2, body, cfg, sys::ricc());
-    expect_identical(a, b, "jacobi2d chaos re-run");
-    expect_identical(a, c, "jacobi2d chaos threads vs fibers");
+    expect_worker_count_neutral(
+        [&](const char* w) { return run_chaos(w, seed, 2, body, cfg, sys::ricc()); },
+        "jacobi2d chaos seed " + std::to_string(seed));
   }
 }
 
 TEST(HaloChaos, AdvectionSeedIdenticalAcrossRunsAndModes) {
-  // The 4-rank periodic ring is this suite's only chaos workload with real
-  // multi-sender wire contention: every rank posts both edge legs
-  // concurrently, and the fault plan's reorder/spike delays skew their
-  // ready times apart. Which slot such unequal-ready contenders get on a
-  // shared NIC resource is decided by wall-clock grant order
-  // (vt/resource.hpp backfill), so under the THREADS launcher the trace
-  // hash is wall-schedule-dependent — the same limitation docs/SCHEDULER.md
-  // records for threads-mode Himeno in rank_scaling. The hard bit-identity
-  // gates therefore run on the fiber launcher, whose cooperative
-  // serialization makes grant order deterministic; threads runs gate
-  // everything that is schedule-independent (fault verdicts, numerics).
+  // The 4-rank periodic ring has real multi-sender wire contention: every
+  // rank posts both edge legs, and the fault plan's reorder/spike delays
+  // skew their ready times apart, so vt::Resource backfill alone would
+  // leave the slots to grant order. The per-job turn fixes that order, so
+  // the gate is full bit identity at every rank count.
   apps::advection::Config cfg = apps::advection::Config::size_s();
   cfg.iterations = 6;
   auto body = [](mpi::Rank& r, const apps::advection::Config& c) {
     return apps::advection::run_rank(r, c).mass;
   };
   for (const std::uint64_t seed : {5ull, 41ull}) {
-    const auto f1 = run_chaos("fibers", seed, 4, body, cfg, sys::ricc());
-    const auto f2 = run_chaos("fibers", seed, 4, body, cfg, sys::ricc());
-    expect_identical(f1, f2, "advection chaos fibers re-run");
-    const auto t1 = run_chaos("threads", seed, 4, body, cfg, sys::ricc());
-    const auto t2 = run_chaos("threads", seed, 4, body, cfg, sys::ricc());
-    expect_same_verdicts(t1, t2, "advection chaos threads re-run");
-    expect_same_verdicts(t1, f1, "advection chaos threads vs fibers");
-    // Chaos must never bend the numerics, only the schedule.
-    EXPECT_DOUBLE_EQ(t1.value, 4096.0 / 4.0);
-    EXPECT_DOUBLE_EQ(f1.value, 4096.0 / 4.0);
-    // At 2 ranks the ring has no cross-sender contention (each rank's legs
-    // are posted serially by its own thread), so the full tri-modal
-    // bit-identity gate holds in threads mode too.
-    const auto a2 = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto b2 = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto c2 = run_chaos("fibers", seed, 2, body, cfg, sys::ricc());
-    expect_identical(a2, b2, "advection 2-rank chaos re-run");
-    expect_identical(a2, c2, "advection 2-rank chaos threads vs fibers");
+    for (const int nranks : {2, 4}) {
+      const AppOutcome base = expect_worker_count_neutral(
+          [&](const char* w) { return run_chaos(w, seed, nranks, body, cfg, sys::ricc()); },
+          "advection chaos seed " + std::to_string(seed) + " on " + std::to_string(nranks) +
+              " ranks");
+      // Chaos must never bend the numerics, only the schedule.
+      EXPECT_DOUBLE_EQ(base.value, 4096.0 / 4.0);
+    }
   }
 }
 
@@ -667,11 +628,9 @@ TEST(HaloChaos, OverlapSeedIdenticalAcrossRunsAndModes) {
     return apps::overlap::run_rank(r, c).residual;
   };
   for (const std::uint64_t seed : {11ull, 31ull}) {
-    const auto a = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto b = run_chaos("threads", seed, 2, body, cfg, sys::ricc());
-    const auto c = run_chaos("fibers", seed, 2, body, cfg, sys::ricc());
-    expect_identical(a, b, "overlap chaos re-run");
-    expect_identical(a, c, "overlap chaos threads vs fibers");
+    expect_worker_count_neutral(
+        [&](const char* w) { return run_chaos(w, seed, 2, body, cfg, sys::ricc()); },
+        "overlap chaos seed " + std::to_string(seed));
   }
 }
 
@@ -686,9 +645,9 @@ TEST(HaloChaos, RmaTierSeedIdentical) {
   auto body = [](mpi::Rank& r, const apps::jacobi2d::Config& c) {
     return apps::jacobi2d::run_rank(r, c).residual;
   };
-  const auto a = run_chaos("threads", 13, 2, body, cfg, sys::cxlpod());
-  const auto b = run_chaos("fibers", 13, 2, body, cfg, sys::cxlpod());
-  expect_identical(a, b, "jacobi2d rma chaos threads vs fibers");
+  expect_worker_count_neutral(
+      [&](const char* w) { return run_chaos(w, 13, 2, body, cfg, sys::cxlpod()); },
+      "jacobi2d rma chaos");
 }
 
 }  // namespace

@@ -184,14 +184,9 @@ MixedOutcome run_mixed(bool coalesced, std::uint64_t seed, const mpi::FaultPlan&
   obs::set_metrics_enabled(true);
   const std::uint64_t enq0 = counter("progress.coalesce.enqueued");
   // The fan-in part of this workload has three senders racing variable-size
-  // eager messages into rank 0's RX resource. With thread-per-rank, which
-  // contender gets the early backfill slot is decided by wall-clock grant
-  // order (vt/resource.hpp), so the trace hash is schedule-dependent under
-  // machine load — the same threads-mode limitation docs/SCHEDULER.md
-  // records for contended workloads. Pin the fiber launcher: cooperative
-  // serialization makes grant order deterministic, so the coalesced vs
-  // direct comparison below is exact instead of load-flaky.
-  testutil::EnvGuard sched("CLMPI_SCHED", "fibers");
+  // eager messages into rank 0's RX resource with unequal ready times; the
+  // per-job turn fixes their grant order (vt/resource.hpp backfill alone
+  // would not), so the coalesced vs direct comparison below is exact.
 
   constexpr int kRanks = 4;
   constexpr int kPerSender = 24;

@@ -1,17 +1,15 @@
 // Cooperative-scheduler suite (docs/SCHEDULER.md).
 //
-//   * Mode neutrality: the SAME workload run under CLMPI_SCHED=threads and
-//     CLMPI_SCHED=fibers must produce bit-identical virtual time — equal
-//     trace hashes, makespans and fault counters. Covered for a mixed pure-
-//     MPI workload (p2p + probe + collectives + non-blocking collectives +
-//     RMA epochs) and for a chaos-style device-transfer workload through the
-//     clMPI runtime (queue workers + dispatcher running as service fibers),
-//     with and without injected faults.
+//   * Worker-count neutrality: the SAME workload run at CLMPI_FIBER_WORKERS
+//     1, 2 and 4 must produce bit-identical virtual time — equal trace
+//     hashes, makespans and fault counters. Covered for a mixed pure-MPI
+//     workload (p2p + probe + collectives + non-blocking collectives + RMA
+//     epochs), for a chaos-style device-transfer workload through the clMPI
+//     runtime (queue workers + dispatcher running as service fibers), with
+//     and without injected faults, and for a contended fan-in with unequal
+//     ready times and offloaded kernel bodies.
 //   * Oversubscription: many more ranks than workers (512 ranks on <= 4
-//     workers) completes and stays bit-identical to thread-per-rank mode.
-//     Worker count itself must be neutral too (4 workers vs 1 worker), also
-//     on a contended fan-in with unequal ready times and offloaded kernel
-//     bodies (1, 2 and 4 workers).
+//     workers) completes and stays bit-identical across worker counts.
 //   * The per-job turn: never two fibers of one job running at once; and
 //     sched::offload returns only after its body ran, rethrowing its error.
 //   * Context migration: rank-scoped state (the capi ThreadBinding, the
@@ -29,7 +27,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <span>
@@ -59,37 +56,9 @@ namespace {
 std::span<const std::byte> bytes_of(const auto& v) { return std::as_bytes(std::span(v)); }
 std::span<std::byte> mut_bytes_of(auto& v) { return std::as_writable_bytes(std::span(v)); }
 
-/// RAII environment override (restores the previous value on scope exit).
-/// CLMPI_SCHED / CLMPI_FIBER_WORKERS are read per Cluster::run, so flipping
-/// them between runs inside one test is well-defined.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_{false};
-  std::string old_;
-};
+/// CLMPI_FIBER_WORKERS is read per Cluster::run, so flipping it between runs
+/// inside one test is well-defined.
+using testutil::EnvGuard;
 
 mpi::Cluster::Options opts(int nranks, vt::Tracer* tracer) {
   mpi::Cluster::Options o;
@@ -115,17 +84,22 @@ void expect_equal(const Outcome& a, const Outcome& b, const char* what) {
   EXPECT_EQ(a.faults.delays, b.faults.delays) << what;
 }
 
+/// Run `run(workers)` at 1, 2 and 4 fiber workers and hold the larger pools
+/// to the one-worker outcome.
+template <typename Run>
+void expect_worker_count_neutral(Run run) {
+  const Outcome one = run("1");
+  ASSERT_NE(one.trace_hash, 0u);
+  expect_equal(run("2"), one, "2 workers vs 1 worker");
+  expect_equal(run("4"), one, "4 workers vs 1 worker");
+}
+
 // --- mixed pure-MPI workload -------------------------------------------------
 
 /// Which synchronizing collective the mixed loop interleaves between the
-/// p2p phase and the RMA epoch. The two variants are separate Cluster::runs:
-/// the virtual-time backfill allocator is only order-independent while racing
-/// reservations keep disjoint candidate windows, and combining a blocking
-/// reduction with the ibarrier's background progression service in ONE
-/// timeline breaks that envelope in *both* scheduler modes (threads mode is
-/// then nondeterministic run to run). Each variant alone is empirically
-/// self-deterministic, which is what makes cross-mode bit-equality a fair
-/// oracle. See docs/SCHEDULER.md.
+/// p2p phase and the RMA epoch: a blocking reduction, or a non-blocking
+/// barrier driven by its background progression service. Each variant is a
+/// separate Cluster::run.
 enum class Collective { allreduce, ibarrier };
 
 /// Touches every blocking site the scheduler converted: request waits (send/
@@ -164,8 +138,8 @@ void mixed_mpi_workload(mpi::Rank& rank, int nranks, int iters, Collective coll)
   }
 }
 
-Outcome run_mixed(const char* mode, int nranks, int iters, Collective coll) {
-  EnvGuard sched("CLMPI_SCHED", mode);
+Outcome run_mixed(const char* workers, int nranks, int iters, Collective coll) {
+  EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
   vt::Tracer tracer;
   const mpi::RunResult res =
       mpi::Cluster::run(opts(nranks, &tracer),
@@ -173,14 +147,12 @@ Outcome run_mixed(const char* mode, int nranks, int iters, Collective coll) {
   return {tracer.hash(), res.makespan_s, res.faults};
 }
 
-TEST(SchedModeEquality, MixedMpiWorkloadBitIdentical) {
+TEST(SchedWorkerCount, MixedMpiWorkloadBitIdentical) {
   for (int nranks : {2, 4, 8}) {
     for (Collective coll : {Collective::allreduce, Collective::ibarrier}) {
       SCOPED_TRACE("nranks=" + std::to_string(nranks) + " coll=" +
                    (coll == Collective::allreduce ? "allreduce" : "ibarrier"));
-      const Outcome threads = run_mixed("threads", nranks, 3, coll);
-      const Outcome fibers = run_mixed("fibers", nranks, 3, coll);
-      expect_equal(threads, fibers, "threads vs fibers");
+      expect_worker_count_neutral([&](const char* w) { return run_mixed(w, nranks, 3, coll); });
     }
   }
 }
@@ -200,9 +172,9 @@ struct Node {
 
 /// Lockstep blocking device-buffer ping-pong between two ranks, exercising
 /// the command-queue worker and the clMPI dispatcher as service fibers.
-Outcome run_device(const char* mode, const mpi::FaultPlan& plan,
+Outcome run_device(const char* workers, const mpi::FaultPlan& plan,
                    const xfer::Strategy& strategy) {
-  EnvGuard sched("CLMPI_SCHED", mode);
+  EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
   vt::Tracer tracer;
   auto o = opts(2, &tracer);
   o.faults = plan;
@@ -238,7 +210,7 @@ Outcome run_device(const char* mode, const mpi::FaultPlan& plan,
   return {tracer.hash(), res.makespan_s, res.faults};
 }
 
-TEST(SchedModeEquality, DeviceTransfersBitIdentical) {
+TEST(SchedWorkerCount, DeviceTransfersBitIdentical) {
   mpi::FaultPlan none;
   mpi::FaultPlan drops;
   drops.seed = 0x5EEDu;
@@ -251,17 +223,14 @@ TEST(SchedModeEquality, DeviceTransfersBitIdentical) {
     for (const xfer::Strategy& strategy :
          {xfer::Strategy::pinned(), xfer::Strategy::pipelined(16 * 1024)}) {
       SCOPED_TRACE("scenario " + std::to_string(i++));
-      const Outcome threads = run_device("threads", *plan, strategy);
-      const Outcome fibers = run_device("fibers", *plan, strategy);
-      expect_equal(threads, fibers, "threads vs fibers (device)");
+      expect_worker_count_neutral([&](const char* w) { return run_device(w, *plan, strategy); });
     }
   }
 }
 
 // --- oversubscription --------------------------------------------------------
 
-Outcome run_ring(const char* mode, const char* workers, int nranks, bool with_allreduce) {
-  EnvGuard sched("CLMPI_SCHED", mode);
+Outcome run_ring(const char* workers, int nranks) {
   EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
   vt::Tracer tracer;
   const mpi::RunResult res =
@@ -277,37 +246,23 @@ Outcome run_ring(const char* mode, const char* workers, int nranks, bool with_al
           s.wait(rank.clock());
           EXPECT_EQ(in[0], static_cast<std::uint64_t>(prev));
         }
-        if (with_allreduce) {
-          std::vector<std::uint64_t> sum(8);
-          world.allreduce(bytes_of(out), mut_bytes_of(sum), mpi::Datatype::uint64,
-                          mpi::ReduceOp::sum, rank.clock());
-          const std::uint64_t n = static_cast<std::uint64_t>(nranks);
-          EXPECT_EQ(sum[0], n * (n - 1) / 2);
-        }
+        std::vector<std::uint64_t> sum(8);
+        world.allreduce(bytes_of(out), mut_bytes_of(sum), mpi::Datatype::uint64,
+                        mpi::ReduceOp::sum, rank.clock());
+        const std::uint64_t n = static_cast<std::uint64_t>(nranks);
+        EXPECT_EQ(sum[0], n * (n - 1) / 2);
       });
   return {tracer.hash(), res.makespan_s, res.faults};
 }
 
 TEST(SchedOversubscription, ManyRanksFewWorkersBitIdentical) {
   constexpr int kRanks = 512;
-  // Worker-count neutrality and run-to-run identity on the richer workload
-  // (ring + 512-rank reduce tree): the multiplexing degree must not leak
-  // into virtual time. The two runs double as a determinism oracle — the
-  // coalescer backstop moves to the scheduler's idle task in fiber mode
-  // precisely so this workload is reproducible (a wall-clock tick flush
-  // would reorder the wire backfill).
-  const Outcome fibers4 = run_ring("fibers", "4", kRanks, /*with_allreduce=*/true);
-  ASSERT_NE(fibers4.trace_hash, 0u);
-  const Outcome fibers1 = run_ring("fibers", "1", kRanks, /*with_allreduce=*/true);
-  expect_equal(fibers4, fibers1, "4 workers vs 1 worker");
-  // Cross-mode at scale on the lockstep ring. (The reduce tree at this rank
-  // count sits outside the threads launcher's deterministic envelope — real
-  // thread races through the interval allocator occasionally reorder it —
-  // so the threads side of the oracle keeps to the blocking ring, which is
-  // bit-stable in every mode.)
-  const Outcome threads = run_ring("threads", nullptr, kRanks, /*with_allreduce=*/false);
-  const Outcome fibers = run_ring("fibers", "4", kRanks, /*with_allreduce=*/false);
-  expect_equal(fibers, threads, "fibers vs threads at 512 ranks");
+  // Worker-count neutrality and run-to-run identity on a ring + 512-rank
+  // reduce tree: the multiplexing degree must not leak into virtual time.
+  // The runs double as a determinism oracle — the coalescer backstop runs
+  // in the scheduler's idle task precisely so this workload is reproducible
+  // (a wall-clock tick flush would reorder the wire backfill).
+  expect_worker_count_neutral([](const char* w) { return run_ring(w, kRanks); });
 }
 
 // --- worker-count neutrality under contention ---------------------------------
@@ -318,7 +273,6 @@ TEST(SchedOversubscription, ManyRanksFewWorkersBitIdentical) {
 /// order irrelevant. Every rank first launches a device kernel, so offloaded
 /// kernel bodies run on spare workers while the fan-in proceeds.
 Outcome run_fanin(const char* workers, std::uint64_t seed) {
-  EnvGuard sched("CLMPI_SCHED", "fibers");
   EnvGuard wrk("CLMPI_FIBER_WORKERS", workers);
   constexpr int kRanks = 4;
   constexpr int kPerSender = 24;
@@ -371,10 +325,7 @@ Outcome run_fanin(const char* workers, std::uint64_t seed) {
 TEST(SchedWorkerCount, ContendedFanInBitIdentical) {
   for (std::uint64_t seed : {11u, 42u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    const Outcome fibers1 = run_fanin("1", seed);
-    ASSERT_NE(fibers1.trace_hash, 0u);
-    expect_equal(run_fanin("2", seed), fibers1, "2 workers vs 1 worker");
-    expect_equal(run_fanin("4", seed), fibers1, "4 workers vs 1 worker");
+    expect_worker_count_neutral([&](const char* w) { return run_fanin(w, seed); });
   }
 }
 
@@ -488,7 +439,6 @@ TEST(SchedMigration, RankScopedStateSurvivesWorkerSharing) {
   // shared by all four and trip immediately: ThreadBinding construction
   // requires an empty slot, and MPI_Comm_rank must return the OWN rank
   // after every scheduling point.
-  EnvGuard sched("CLMPI_SCHED", "fibers");
   EnvGuard wrk("CLMPI_FIBER_WORKERS", "1");
   constexpr int kRanks = 4;
   mpi::Cluster::run(opts(kRanks, nullptr), [&](mpi::Rank& rank) {
@@ -509,19 +459,6 @@ TEST(SchedMigration, RankScopedStateSurvivesWorkerSharing) {
                                             xfer::SelectionMode::heuristic);
       EXPECT_EQ(a.kind, b.kind);
     }
-  });
-}
-
-TEST(SchedMigration, ThreadModeBindingStillPerThread) {
-  // Regression guard for the classic launcher: one binding per rank thread,
-  // torn down cleanly.
-  EnvGuard sched("CLMPI_SCHED", "threads");
-  mpi::Cluster::run(opts(2, nullptr), [&](mpi::Rank& rank) {
-    Node node(rank);
-    capi::ThreadBinding binding(rank, node.runtime);
-    int self = -1;
-    ASSERT_EQ(MPI_Comm_rank(MPI_COMM_WORLD, &self), 0);
-    EXPECT_EQ(self, rank.rank());
   });
 }
 

@@ -7,8 +7,8 @@
 namespace clmpi::testutil {
 
 /// Scoped environment-variable override (nullptr unsets); restores the
-/// previous value on destruction. Used to pin CLMPI_SCHED and friends for
-/// the duration of one cluster run.
+/// previous value on destruction. Used to pin CLMPI_FIBER_WORKERS and
+/// friends for the duration of one cluster run.
 class EnvGuard {
  public:
   EnvGuard(const char* name, const char* value) : name_(name) {
