@@ -391,6 +391,12 @@ inline constexpr cl_int CLMPI_QUOTA_EXCEEDED = -1013;
 inline constexpr cl_int CLMPI_INVALID_JOB = -1014;
 /// The job was cancelled (clmpiCancelJob or its deadline).
 inline constexpr cl_int CLMPI_CANCELLED = -1015;
+/// The job deadlocked: every rank (and runtime service) of the cluster run
+/// was blocked and no operation deadline was left to expire, so every
+/// pending operation failed with this code instead of hanging until the
+/// watchdog. Applies to standalone runs as well as service jobs; the error
+/// message lists where each rank was blocked.
+inline constexpr cl_int CLMPI_DEADLOCK = -1016;
 
 /// Job handle: the service-assigned id (monotone from 1). 0 is never a
 /// valid job.

@@ -130,8 +130,6 @@ Runtime::~Runtime() {
     std::lock_guard lock(mutex_);
     shutdown_ = true;
   }
-  cv_.notify_all();
-  sched::note_progress();
   dispatcher_.join();
   // Posted transfers reference application buffers; make sure they are all
   // done before the runtime (and with it, typically, those buffers) goes.
@@ -147,14 +145,13 @@ Runtime::~Runtime() {
 
 void Runtime::dispatcher_loop() {
   for (;;) {
-    // Drain the whole queue per cv wakeup: enqueue bursts (an application
-    // posting a dependency chain of commands) cost one wakeup instead of one
-    // cv round trip — i.e. one context switch — per command.
+    // Drain the whole queue per resume: enqueue bursts (an application
+    // posting a dependency chain of commands) cost one fiber switch instead
+    // of one per command.
     std::deque<Job> batch;
     {
       std::unique_lock lock(mutex_);
-      sched::wait(lock, cv_, [&] { return shutdown_ || !jobs_.empty(); },
-                  "rt.dispatcher.idle");
+      sched::wait(lock, [&] { return shutdown_ || !jobs_.empty(); }, "rt.dispatcher.idle");
       if (jobs_.empty()) return;  // shutdown with a drained queue
       batch.swap(jobs_);
     }
@@ -188,7 +185,6 @@ void Runtime::dispatcher_loop() {
         if (armed) {
           struct Latch {
             std::mutex mutex;
-            std::condition_variable cv;
             std::size_t remaining;
           };
           auto latch = std::make_shared<Latch>();
@@ -197,21 +193,13 @@ void Runtime::dispatcher_loop() {
             // Already-complete events fire the callback inline; pending ones
             // fire it from their completing thread.
             w->on_complete([latch](vt::TimePoint) {
-              bool last = false;
-              {
-                std::lock_guard lk(latch->mutex);
-                last = (--latch->remaining == 0);
-              }
-              if (last) {
-                latch->cv.notify_one();
-                sched::note_progress();
-              }
+              std::lock_guard lk(latch->mutex);
+              --latch->remaining;
             });
           }
           if (obs::metrics_enabled()) mpi::detail::progress_metrics().continuations.add();
           std::unique_lock lk(latch->mutex);
-          sched::wait(lk, latch->cv, [&] { return latch->remaining == 0; },
-                      "rt.dispatcher.waitlist");
+          sched::wait(lk, [&] { return latch->remaining == 0; }, "rt.dispatcher.waitlist");
         }
         std::exception_ptr err;
         for (const auto& w : job.waits) {
@@ -259,8 +247,6 @@ ocl::EventPtr Runtime::submit(ocl::CommandQueue& queue, std::string label,
     issued_.push_back(ev);
     depth = jobs_.size();
   }
-  cv_.notify_all();
-  sched::note_progress();
   if (obs::metrics_enabled()) {
     static auto& submitted = obs::Registry::instance().counter("rt.dispatcher.jobs");
     static auto& queue_depth = obs::Registry::instance().gauge("rt.dispatcher.queue_depth");

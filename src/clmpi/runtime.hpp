@@ -31,7 +31,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -264,11 +263,11 @@ class Runtime {
   vt::Resource disk_;
 
   std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<Job> jobs_;
   std::vector<ocl::EventPtr> issued_;
   bool shutdown_{false};
-  // Fiber under the cooperative scheduler, plain thread otherwise.
+  // A fiber of the rank's job: a Runtime is built on its rank's fiber, so
+  // the dispatcher's waits are fiber-only (sched::wait without a cv).
   sched::ServiceHandle dispatcher_;
 };
 

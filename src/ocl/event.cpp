@@ -95,7 +95,6 @@ void Event::mark_complete(vt::TimePoint when) {
     to_run.swap(callbacks_);
   }
   cv_.notify_all();
-  sched::note_progress();
   for (auto& fn : to_run) fn(when);
 }
 

@@ -42,7 +42,6 @@ CommandQueue::~CommandQueue() {
     shutdown_ = true;
   }
   cv_.notify_all();
-  sched::note_progress();
   worker_.join();
 }
 
@@ -74,7 +73,6 @@ EventPtr CommandQueue::push(std::string op_label, WaitList waits, vt::Clock& clo
     pending_.push_back(std::move(cmd));
   }
   cv_.notify_all();
-  sched::note_progress();
   return event;
 }
 

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
@@ -23,124 +22,49 @@ namespace clmpi::mpi {
 
 namespace detail {
 
-namespace {
-
-/// Process-wide progress driver: ONE long-lived thread services every live
-/// cluster, instead of each Cluster::run paying a thread spawn + join
-/// (~50-60 us on this class of machine — real money for millisecond-scale
-/// runs). Cores register at run start and deregister at teardown; the
-/// deregistration blocks while a tick is mid-pass (the tick holds the
-/// registry mutex), so a removed core is never touched again. The thread is
-/// detached and the singleton leaked: at process exit it is parked on the
-/// leaked cv with an empty registry, touching nothing else.
-class ProgressDriverService {
- public:
-  static ProgressDriverService& instance() {
-    static auto* service = new ProgressDriverService();
-    return *service;
+bool ClusterCore::backstop() {
+  bool progressed = false;
+  for (SendCoalescer& co : coalescers) {
+    if (!co.has_pending()) continue;
+    co.flush_all(FlushTrigger::tick);
+    progressed = true;
   }
-
-  void add(ClusterCore* core) {
-    std::lock_guard lock(mutex_);
-    cores_.push_back(core);
-    ++version_;
-    if (!started_) {
-      started_ = true;
-      std::thread([this] {
-        log::set_thread_label("progress-driver");
-        loop();
-      }).detach();
-    }
-    cv_.notify_all();
-  }
-
-  void remove(ClusterCore* core) {
-    std::lock_guard lock(mutex_);
-    std::erase(cores_, core);
-    ++version_;
-  }
-
- private:
-  void loop() {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      if (cores_.empty()) {
-        cv_.wait(lock, [&] { return !cores_.empty(); });
-        continue;  // re-read the tick under the current config
-      }
-      const std::uint64_t v = version_;
-      const bool changed = cv_.wait_for(lock, progress_config().driver_tick,
-                                        [&] { return version_ != v; });
-      // A registry change only re-arms the sleep (picking up a possibly
-      // changed tick); the flush pass runs on timeout alone, so a cluster
-      // that configured a long tick before starting is never flushed early.
-      if (changed) continue;
-      if (obs::metrics_enabled()) progress_metrics().driver_ticks.add();
-      // The tick is the liveness backstop for queued batches no blocking
-      // wait will ever flush (poll-only peers, ranks that never wait), and
-      // drains completions a producer left behind after losing the consumer
-      // race. Everything here is wall-clock-only: the envelopes' virtual
-      // stamps were fixed at post time.
-      for (ClusterCore* core : cores_) {
-        // The wire part of the backstop belongs to each cluster's scheduler
-        // idle task: a wall-clock flush here would race the deterministic
-        // cooperative schedule and perturb the wire post order. Job
-        // cancellation and deadline rescue stay — both are wall-clock by
-        // definition (the latter is the real-time grace of an armed
-        // deadline).
-        core->backstop(/*wire=*/false);
-        core->rescue_stale_deadlines();
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<ClusterCore*> cores_;
-  std::uint64_t version_{0};
-  bool started_{false};
-};
-
-}  // namespace
-
-void ClusterCore::backstop(bool wire) {
-  if (wire) {
-    for (SendCoalescer& co : coalescers) co.flush_all(FlushTrigger::tick);
-    for (Mailbox& mb : mailboxes) mb.drain_completions();
-  }
+  for (Mailbox& mb : mailboxes) progressed = mb.drain_completions() || progressed;
   // Fail the cancelled job's still-pending operations so its blocked ranks
   // wake and unwind.
-  if (job != nullptr && job->cancel_requested()) fail_pending_as_cancelled();
+  if (job->cancel_requested()) progressed = fail_pending_as_cancelled() || progressed;
+  return progressed;
 }
 
-void ClusterCore::register_deadline(std::shared_ptr<RequestState> state) {
-  std::lock_guard lock(deadline_mutex);
-  armed_requests.push_back(std::move(state));
-}
-
-void ClusterCore::rescue_stale_deadlines() {
-  std::vector<std::shared_ptr<RequestState>> live;
-  {
-    std::lock_guard lock(deadline_mutex);
-    live.reserve(armed_requests.size());
-    for (auto& weak : armed_requests) {
-      if (auto s = weak.lock()) live.push_back(std::move(s));
-    }
+bool ClusterCore::resolve_stuck() {
+  const std::vector<std::shared_ptr<RequestState>> live = live_pending();
+  std::optional<vt::TimePoint> earliest;
+  for (const auto& s : live) {
+    const auto d = s->pending_deadline();
+    if (d && (!earliest || *d < *earliest)) earliest = d;
   }
-  // Rescue outside the registry lock: timeout callbacks may re-enter the
-  // cluster (fire events, post follow-up operations).
-  const auto grace = deadline_grace();
-  const auto now = std::chrono::steady_clock::now();
-  for (auto& s : live) {
-    if (s->rescue_if_stale(now, grace) && obs::metrics_enabled()) {
-      progress_metrics().rescued_waits.add();
+  if (earliest) {
+    bool rescued = false;
+    for (const auto& s : live) {
+      if (s->pending_deadline() != earliest || !s->rescue_deadline()) continue;
+      rescued = true;
+      if (obs::metrics_enabled()) progress_metrics().rescued_waits.add();
     }
+    return rescued;
   }
-  std::lock_guard lock(deadline_mutex);
-  std::erase_if(armed_requests, [](const std::weak_ptr<RequestState>& weak) {
-    const auto s = weak.lock();
-    return s == nullptr || s->done();
-  });
+  std::string what = "communication deadlock in job " + std::to_string(job->id()) +
+                     ": every task is blocked and no operation deadline is left to expire (";
+  for (std::size_t r = 0; r < blocked_sites.size(); ++r) {
+    const char* site = blocked_sites[r].load(std::memory_order_acquire);
+    what += (r == 0 ? "rank" : "; rank") + std::to_string(r) +
+            (site != nullptr ? std::string(": blocked at ") + site : std::string(": done"));
+  }
+  what += ")";
+  // A job that already failed has nothing left to try; the watchdog guards
+  // waits that never look at the job's failure.
+  if (!job->fail(std::make_exception_ptr(DeadlockError(what)))) return false;
+  fail_pending_as_cancelled();
+  return true;
 }
 
 void ClusterCore::register_pending(std::shared_ptr<RequestState> state) {
@@ -156,37 +80,26 @@ void ClusterCore::register_pending(std::shared_ptr<RequestState> state) {
   pending_ops.push_back(std::move(state));
 }
 
-void ClusterCore::fail_pending_as_cancelled() {
+std::vector<std::shared_ptr<RequestState>> ClusterCore::live_pending() {
   std::vector<std::shared_ptr<RequestState>> live;
-  {
-    std::lock_guard lock(pending_mutex);
-    std::erase_if(pending_ops, [&live](const std::weak_ptr<RequestState>& weak) {
-      auto s = weak.lock();
-      if (s == nullptr || s->done()) return true;
-      live.push_back(std::move(s));
-      return false;
-    });
-  }
+  std::lock_guard lock(pending_mutex);
+  std::erase_if(pending_ops, [&live](const std::weak_ptr<RequestState>& weak) {
+    auto s = weak.lock();
+    if (s == nullptr || s->done()) return true;
+    live.push_back(std::move(s));
+    return false;
+  });
+  return live;
+}
+
+bool ClusterCore::fail_pending_as_cancelled() {
   // Fail outside the registry lock: settle callbacks may re-enter the
   // cluster (fire events, post follow-ups that call register_pending).
-  for (auto& s : live) {
-    s->cancel_now(std::make_exception_ptr(
-        CancelledError("job " + std::to_string(job->id()) + " cancelled; pending "
-                       "operation failed by the cancel backstop")));
+  bool failed = false;
+  for (auto& s : live_pending()) {
+    failed = s->cancel_now(job->cancel_error("a pending operation")) || failed;
   }
-}
-
-void ClusterCore::start_progress_driver() {
-  ProgressDriverService::instance().add(this);
-}
-
-void ClusterCore::stop_progress_driver() {
-  ProgressDriverService::instance().remove(this);
-  // One final pass after deregistration, so no envelope is left stranded in
-  // a coalescer at teardown (the service can no longer be mid-pass on this
-  // core once remove() returns).
-  backstop(/*wire=*/true);
-  rescue_stale_deadlines();
+  return failed;
 }
 
 }  // namespace detail
@@ -230,7 +143,7 @@ vt::Tracer* Rank::tracer() const { return core_->tracer; }
 void Rank::compute(vt::Duration d, const std::string& label) {
   // Cancellation point: compute loops are where a rank can go longest
   // without touching the comm layer's posts.
-  if (core_->job != nullptr) core_->job->check_cancelled("compute");
+  core_->job->check_cancelled("compute");
   const vt::TimePoint start = clock_.now();
   clock_.advance(d);
   if (core_->tracer != nullptr) {
@@ -242,9 +155,15 @@ void Rank::compute(vt::Duration d, const std::string& label) {
 RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>& body) {
   CLMPI_REQUIRE(options.nranks > 0, "cluster needs at least one rank");
   CLMPI_REQUIRE(options.profile != nullptr, "cluster needs a system profile");
+  // Every run has a job control block — a private one unless a service
+  // passed its own — so a failed rank cancels its peers, and a stuck job
+  // fails typed, the same way in both.
+  std::optional<tenant::JobControl> own_job;
+  tenant::JobControl* job =
+      options.job != nullptr ? options.job : &own_job.emplace(0, tenant::JobQuotas{});
   // Rank-count quota: checked before anything is allocated, so an oversized
   // job fails typed without having touched shared state.
-  if (options.job != nullptr) options.job->check_ranks(options.nranks);
+  job->check_ranks(options.nranks);
 
   std::uint64_t run_seq = 0;
   {
@@ -255,7 +174,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
   detail::ClusterCore core;
   core.profile = options.profile;
   core.tracer = options.tracer;
-  core.job = options.job;
+  core.job = job;
   // CLMPI_TRACE: when the caller did not attach a tracer, attach an
   // internally owned one so clmpiDumpTrace (and the optional auto-export
   // below) see the run. Tracing is passive — it never advances a clock — so
@@ -289,13 +208,11 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     }
   }
   // One mailbox and one coalescer per node, sized before any rank fiber
-  // exists; the driver starts eagerly so completions progress from the
-  // first post.
+  // exists.
   for (int n = 0; n < options.nranks; ++n) {
     core.mailboxes.emplace_back(*core.network, n);
     core.coalescers.emplace_back();
   }
-  core.start_progress_driver();
 
   // Per-rank blocked-site mirrors (watchdog diagnostics). Owned by the core
   // so they outlive the rank contexts that write them.
@@ -315,7 +232,7 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     ctx::current().blocked_mirror = &core.blocked_sites[static_cast<std::size_t>(r)];
     // Tenancy: the rank task (and, via spawn_service propagation, every
     // runtime service it starts) charges allocations to the job.
-    ctx::current().job = options.job;
+    ctx::current().job = job;
     log::set_thread_label("rank" + std::to_string(r));
     try {
       Rank rank(&core, r, options.nranks);
@@ -342,9 +259,10 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       // A failed rank fails the whole job: without a runtime teardown to
       // poison them, peer ranks of a plain-MPI workload would block forever
       // on the dead rank's messages. The cancel backstop fails the job's
-      // pending operations, so peers unwind (as secondary, suppressed
-      // CancelledErrors — the line above already recorded the real cause).
-      if (options.job != nullptr) options.job->request_cancel();
+      // pending operations and blocked window and probe waits throw, so
+      // peers unwind (as secondary, suppressed CancelledErrors — the line
+      // above already recorded the real cause).
+      job->request_cancel();
     }
     {
       // Notify under the lock: once `remaining` reads 0, Cluster::run may
@@ -355,21 +273,20 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
       --remaining;
       done_cv.notify_all();
     }
-    sched::note_progress();
   };
 
   // Ranks run as fibers: job-tagged on a shared service scheduler, job 0 on
-  // a private one. The idle task is the progress engine's wire backstop: it
-  // runs only at scheduler quiescence, inside the job's turn, so batch
-  // composition stays a function of the cooperative schedule rather than of
-  // a racing real-time tick. It is registered for exactly the run's
-  // lifetime; `&core` keys its removal.
+  // a private one. The idle task is the job's liveness backstop: it runs
+  // only after a quiet round of the job's turns, inside the turn, so batch
+  // composition and every rescue stay a function of the cooperative
+  // schedule rather than of real time. It is registered for exactly the
+  // run's lifetime; `&core` keys its removal.
   std::optional<sched::Scheduler> scheduler;
   sched::Scheduler* external = options.scheduler;
   sched::Scheduler* fibers =
       external != nullptr ? external : &scheduler.emplace(sched::Scheduler::Options{});
   const std::uint64_t job_tag = external != nullptr ? options.job_tag : 0;
-  fibers->add_idle_task(&core, job_tag, [&core] { core.backstop(/*wire=*/true); });
+  fibers->add_idle_task(&core, job_tag, [&core](bool stuck) { return core.on_quiet(stuck); });
   {
     // One batch, so on a running service scheduler no rank takes a turn
     // before its peers are queued.
@@ -396,14 +313,14 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
         done_cv.wait_for(lock, std::chrono::duration<double>(watchdog_s),
                          [&] { return remaining == 0; });
     if (!finished) {
-      // A rank is stuck in a blocking operation: this is a communication
-      // deadlock in the user program, the same hang a real MPI job would
-      // exhibit. There is no safe way to unwind a foreign stuck task, so
-      // dump everything we know about where each rank is parked, flush the
-      // observability state, and abort.
+      // Last-resort livelock guard: a deadlock fails typed at the job's
+      // stuck point long before this fires, so the run is busy without
+      // finishing (or blocked where no failure reaches). There is no safe
+      // way to unwind a foreign task, so dump everything we know about
+      // where each rank is, flush the observability state, and abort.
       std::cerr << "clmpi::mpi::Cluster watchdog: " << remaining << " of " << options.nranks
-                << " ranks still blocked after " << watchdog_s
-                << "s of real time — communication deadlock; aborting.\n";
+                << " ranks still unfinished after " << watchdog_s
+                << "s of real time; aborting.\n";
       for (int r = 0; r < options.nranks; ++r) {
         if (rank_done[static_cast<std::size_t>(r)]) continue;
         const char* site =
@@ -451,12 +368,10 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     for (auto& s : core.aux_services) s.join();
   }
   // Detach the idle task before `core` is torn down; removal blocks while an
-  // idle pass is mid-flight, so the task never touches a dead core.
+  // idle pass is mid-flight, so the task never touches a dead core. Then
+  // one final backstop, so no envelope is left stranded in a coalescer.
   fibers->remove_idle_task(&core);
-  // The shared driver dereferences request states that the mailboxes keep
-  // alive; detach from it before `core` (and everything it owns) is torn
-  // down.
-  core.stop_progress_driver();
+  core.backstop();
   if (core.faults) result.faults = core.faults->counters();
   // CLMPI_TRACE=<path>: auto-export the env-attached tracer as Perfetto
   // JSON. Last run wins when a process runs several clusters — decided by

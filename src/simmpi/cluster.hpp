@@ -96,13 +96,17 @@ class Cluster {
     /// Tenancy tag for fibers spawned onto the external scheduler (the
     /// fair-pick round robin keys on it). Meaningful only with `scheduler`.
     std::uint64_t job_tag{0};
-    /// Quota/cancellation control block; null = standalone (no hooks). Must
-    /// outlive the run.
+    /// Quota/cancellation control block of a service job; must outlive the
+    /// run. Null makes the run use a private, unlimited one, so cancellation
+    /// and deadlock failure work the same either way.
     tenant::JobControl* job{nullptr};
   };
 
   /// Run `body` on every rank; blocks until all ranks return. The first
   /// exception thrown by any rank is re-thrown here after all ranks finish.
+  /// A rank's failure cancels the job, so its peers' blocked operations
+  /// fail (CancelledError) instead of hanging; a job whose ranks all block
+  /// with no deadline left to expire fails with a DeadlockError.
   static RunResult run(const Options& options, const std::function<void(Rank&)>& body);
 };
 

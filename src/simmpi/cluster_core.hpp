@@ -26,11 +26,11 @@ struct WindowShared;  // window.cpp: shared state of one RMA window
 struct ClusterCore {
   const sys::SystemProfile* profile{nullptr};
   vt::Tracer* tracer{nullptr};
-  /// Tenancy control block when this cluster runs as a service job; null in
-  /// standalone mode (every hook below is then skipped). Quotas are charged
-  /// at the comm/pool allocation points; the cancel flag is observed at
-  /// cancellation points and enforced on blocked operations via
-  /// fail_pending_as_cancelled.
+  /// The job's control block: the service's for a service job, a private
+  /// one for a standalone run — never null. Quotas are charged at the
+  /// comm/pool allocation points; the cancel flag is observed at
+  /// cancellation points and blocking waits, and enforced on pending
+  /// operations via fail_pending_as_cancelled.
   tenant::JobControl* job{nullptr};
   /// Fault oracle; null unless Cluster::Options::faults is enabled. Must
   /// outlive `network`, which holds a raw pointer to it.
@@ -42,23 +42,25 @@ struct ClusterCore {
   /// Progress engine (progress.hpp): one send coalescer per SOURCE node.
   std::deque<SendCoalescer> coalescers;
 
-  /// The liveness backstop, run by the fiber scheduler's idle task and
-  /// teardown (with `wire`) and by the progress driver's tick (without).
-  /// With `wire` set it puts every queued batch on the wire and drains
-  /// mailbox completion queues — only at points serialized with the
-  /// cooperative schedule, since a real-time flush would perturb wire post
-  /// order; then it fails a cancelled job's still-pending operations.
-  void backstop(bool wire);
+  /// The wire and cancel backstop: put every queued batch on the wire,
+  /// drain mailbox completion queues, and fail a cancelled job's
+  /// still-pending operations. Runs only at points serialized with the
+  /// cooperative schedule (the job's idle task, teardown), since a real-time
+  /// flush would perturb wire post order. Returns whether it did anything.
+  bool backstop();
 
-  /// Register with the progress driver: a process-wide service thread that
-  /// every ProgressConfig::driver_tick runs the cancel part of the backstop
-  /// and rescues stale deadlines — so no rank has to block to make a peer's
-  /// operation complete. One shared thread services every live cluster, so a
-  /// run never pays a driver spawn + join.
-  void start_progress_driver();
-  /// Deregister and run one final backstop + deadline-rescue pass; must run
-  /// before the mailboxes are torn down.
-  void stop_progress_driver();
+  /// The job's scheduler idle task (sched::Scheduler::add_idle_task): the
+  /// backstop, then — when the job is stuck and the backstop found nothing
+  /// to do — resolve_stuck. Returns whether either made progress.
+  bool on_quiet(bool stuck) { return backstop() || (stuck && resolve_stuck()); }
+
+  /// The job is stuck: every fiber blocked, nothing queued, nothing to
+  /// cancel. Expire the pending operations with the earliest virtual
+  /// deadline at that deadline (progress.rescued_waits counts each), so
+  /// whatever their waiters do next runs before any later deadline is
+  /// judged; with no deadline left, fail the job with a DeadlockError that
+  /// lists each rank's blocked site. Returns whether it resolved anything.
+  bool resolve_stuck();
 
   /// RMA window-creation rendezvous slots, keyed (context << 32) | win_seq.
   /// A slot only lives for the duration of one collective create_window call
@@ -78,38 +80,25 @@ struct ClusterCore {
     aux_services.push_back(std::move(s));
   }
 
-  /// Per-rank blocked-site mirrors for watchdog diagnostics. Sized by
-  /// Cluster::run before ranks start; each rank's execution context mirrors
-  /// its current blocked site here (ctx::BlockedScope), so the watchdog can
-  /// report where every rank is stuck even after rank contexts are gone.
+  /// Per-rank blocked-site mirrors for deadlock and watchdog diagnostics.
+  /// Sized by Cluster::run before ranks start; each rank's execution
+  /// context mirrors its current blocked site here (ctx::BlockedScope), so
+  /// both can report where every rank is stuck even after rank contexts are
+  /// gone.
   /// deque: atomics are immovable.
   std::deque<std::atomic<const char*>> blocked_sites;
 
-  /// Liveness side of per-operation deadlines. Every deadline-armed request
-  /// registers here; the progress driver's tick fails any that stayed
-  /// pending past the real-time grace, at their VIRTUAL deadline
-  /// (RequestState::rescue_if_stale) — so a deadline surfaces as
-  /// CLMPI_TIMEOUT whether or not a thread waits on it, instead of the
-  /// watchdog killing the run.
-  void register_deadline(std::shared_ptr<RequestState> state);
-
-  std::mutex deadline_mutex;
-  std::vector<std::weak_ptr<RequestState>> armed_requests;
-
-  /// The driver's rescue pass: rescue stale deadline-armed requests outside
-  /// the registry lock (counting progress.rescued_waits once per rescue),
-  /// then prune resolved entries.
-  void rescue_stale_deadlines();
-
-  /// Cancellation liveness (service jobs only; `job` must be set). Every
-  /// point-to-point operation registers its request state at post time; when
-  /// the job's cancel flag is up, fail_pending_as_cancelled fails every
-  /// still-pending one with CancelledError so blocked waiters wake instead
-  /// of hanging on peers that already unwound. Called from backstop() — a
-  /// wall-clock backstop; the cooperative cancellation points in the post
-  /// paths do the prompt part.
+  /// Pending-operation registry. Every point-to-point operation registers
+  /// its request state at post time, so the backstop can fail a cancelled
+  /// job's operations (blocked waiters wake instead of hanging on peers
+  /// that already unwound) and a stuck job's deadlines can be found.
   void register_pending(std::shared_ptr<RequestState> state);
-  void fail_pending_as_cancelled();
+  /// Fail every still-pending operation with the job's cancel error;
+  /// returns whether there was one.
+  bool fail_pending_as_cancelled();
+  /// The still-pending registered operations, in registration order;
+  /// resolved and dead entries are pruned.
+  std::vector<std::shared_ptr<RequestState>> live_pending();
 
   std::mutex pending_mutex;
   std::vector<std::weak_ptr<RequestState>> pending_ops;

@@ -69,20 +69,16 @@ namespace {
 
 /// Tenancy hook shared by every point-to-point post funnel: cancellation
 /// point + mailbox-depth quota charge (credited back when the operation
-/// settles) + registration with the cancel backstop. Runs strictly BEFORE
-/// the operation is posted, on the posting rank's own fiber/thread — a
-/// QuotaError/CancelledError leaves nothing in flight. No-op in standalone
-/// mode (core->job == nullptr).
+/// settles) + registration in the pending-operation registry (cancel
+/// backstop, stuck-job deadline rescue). Runs strictly BEFORE the operation
+/// is posted, on the posting rank's own fiber — a QuotaError/CancelledError
+/// leaves nothing in flight.
 void tenant_admit_p2p(detail::ClusterCore* core,
                       const std::shared_ptr<detail::RequestState>& state, const char* where) {
   tenant::JobControl* job = core->job;
-  if (job == nullptr) return;
   job->check_cancelled(where);
   job->charge_mailbox();
-  state->on_settle(
-      [job](vt::TimePoint, const MsgStatus&, const std::exception_ptr&) noexcept {
-        job->credit_mailbox();
-      });
+  state->set_job(job);
   core->register_pending(state);
 }
 
@@ -107,12 +103,7 @@ Request Comm::post_send(std::span<const std::byte> data, int dst, int tag,
   env.sreq = state;
   // Arm the deadline BEFORE posting: completion may race this thread the
   // moment the envelope is visible, and the clamp must already be in place.
-  // Registration with the progress driver gives the deadline liveness
-  // whether or not a thread ever blocks on the request.
-  if (opts.deadline > vt::Duration{}) {
-    state->arm_deadline(ready + opts.deadline);
-    core_->register_deadline(state);
-  }
+  if (opts.deadline > vt::Duration{}) state->arm_deadline(ready + opts.deadline);
   detail::Mailbox& box = core_->mailboxes[static_cast<std::size_t>(node_of(dst))];
   detail::SendCoalescer& co = core_->coalescers[static_cast<std::size_t>(env.src_node)];
   // Hint set strictly before the envelope is visible: the wait path reads it
@@ -145,10 +136,7 @@ Request Comm::post_recv(std::span<std::byte> data, int src, int tag, vt::TimePoi
   pr.bw_cap = opts.wire_bw_cap;
   pr.wire_decomp = opts.wire_decomp;
   pr.rreq = state;
-  if (opts.deadline > vt::Duration{}) {
-    state->arm_deadline(ready + opts.deadline);
-    core_->register_deadline(state);
-  }
+  if (opts.deadline > vt::Duration{}) state->arm_deadline(ready + opts.deadline);
   // A blocked receiver's own queued sends may be exactly what its peer is
   // waiting for before answering: hint the receiver's coalescer so the wait
   // path flushes it.
@@ -274,10 +262,7 @@ Request PersistentRequest::start_at(vt::TimePoint ready, bool coalescable) {
     detail::Envelope env = impl_->env;
     env.post_time = ready;
     env.sreq = state;
-    if (impl_->deadline > vt::Duration{}) {
-      state->arm_deadline(ready + impl_->deadline);
-      impl_->core->register_deadline(state);
-    }
+    if (impl_->deadline > vt::Duration{}) state->arm_deadline(ready + impl_->deadline);
     if (coalescable && impl_->coalescable) {
       impl_->co->offer(*impl_->box, std::move(env));
     } else {
@@ -288,10 +273,7 @@ Request PersistentRequest::start_at(vt::TimePoint ready, bool coalescable) {
     detail::PostedRecv pr = impl_->pr;
     pr.post_time = ready;
     pr.rreq = state;
-    if (impl_->deadline > vt::Duration{}) {
-      state->arm_deadline(ready + impl_->deadline);
-      impl_->core->register_deadline(state);
-    }
+    if (impl_->deadline > vt::Duration{}) state->arm_deadline(ready + impl_->deadline);
     impl_->box->post_recv(std::move(pr));
   }
   return Request(state);
@@ -300,7 +282,7 @@ Request PersistentRequest::start_at(vt::TimePoint ready, bool coalescable) {
 Request PersistentRequest::start(vt::TimePoint ready) {
   // Runtime-facing (explicit-time) replays never coalesce: their waiters go
   // through event latches, which do not know about coalescers; the direct
-  // post keeps them independent of the driver tick.
+  // post keeps them independent of the idle-task flush.
   return start_at(ready, /*coalescable=*/false);
 }
 
@@ -319,12 +301,9 @@ std::optional<MsgStatus> Comm::iprobe(int src, int tag) const {
 
 MsgStatus Comm::probe(int src, int tag, vt::Clock& clock) {
   check_peer(src, /*allow_any=*/true);
-  // Cancellation point at entry only: a probe already blocked on arrival is
-  // woken by its peers' cancel-failed sends unwinding, not by the backstop.
-  if (core_->job != nullptr) core_->job->check_cancelled("probe");
   auto [status, available] =
       core_->mailboxes[static_cast<std::size_t>(group_[static_cast<std::size_t>(my_rank_)])]
-          .probe(src, tag, context_);
+          .probe(src, tag, context_, *core_->job);
   clock.sync_to(available);
   return status;
 }

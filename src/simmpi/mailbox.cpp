@@ -9,6 +9,7 @@
 #include "support/context.hpp"
 #include "support/error.hpp"
 #include "support/sched.hpp"
+#include "support/tenant.hpp"
 
 namespace clmpi::mpi::detail {
 
@@ -95,12 +96,12 @@ void CompletionQueue::fire(Completion& c) {
   }
 }
 
-void CompletionQueue::drain_as_consumer() {
-  for (;;) {
+bool CompletionQueue::drain_as_consumer() {
+  for (bool fired = false;; fired = true) {
     std::vector<Completion> items;
     {
       std::lock_guard lock(mutex_);
-      if (queue_.empty()) return;
+      if (queue_.empty()) return fired;
       items.assign(std::make_move_iterator(queue_.begin()),
                    std::make_move_iterator(queue_.end()));
       queue_.clear();
@@ -109,19 +110,20 @@ void CompletionQueue::drain_as_consumer() {
   }
 }
 
-void CompletionQueue::drain() {
+bool CompletionQueue::drain() {
+  bool fired = false;
   for (;;) {
     // Single consumer: whoever flips the flag fires callbacks; everyone else
     // leaves their batch for the current consumer.
-    if (draining_.exchange(true, std::memory_order_acquire)) return;
-    drain_as_consumer();
+    if (draining_.exchange(true, std::memory_order_acquire)) return fired;
+    fired = drain_as_consumer() || fired;
     draining_.store(false, std::memory_order_release);
     // A producer may have enqueued between our last emptiness check and the
     // flag release, then seen the flag still up and left. Re-check; if the
     // queue is non-empty, try to become the consumer again.
     {
       std::lock_guard lock(mutex_);
-      if (queue_.empty()) return;
+      if (queue_.empty()) return fired;
     }
   }
 }
@@ -297,9 +299,8 @@ void Mailbox::post_send(Envelope env) {
   if (matched) {
     if (obs::metrics_enabled()) metrics().shard_hit.add();
     deliver(env, pr, batch);
-  } else {
-    if (obs::metrics_enabled()) metrics().unexpected.add();
-    sched::note_progress();
+  } else if (obs::metrics_enabled()) {
+    metrics().unexpected.add();
   }
   settle(batch);
 }
@@ -390,12 +391,7 @@ void Mailbox::post_send_batch(std::vector<Envelope>& envs) {
   for (auto& [i, pr] : matched) {
     deliver(envs[i], pr, batch);
   }
-  if (unexpected > 0) {
-    if (obs::metrics_enabled()) metrics().unexpected.add(unexpected);
-    // One progress bump for the whole batch: probes re-scan the queues on
-    // every resume, so one bump is observationally equivalent to N.
-    sched::note_progress();
-  }
+  if (unexpected > 0 && obs::metrics_enabled()) metrics().unexpected.add(unexpected);
   settle(batch);
 }
 
@@ -462,62 +458,21 @@ void Mailbox::post_recv(PostedRecv pr) {
   }
 }
 
-std::pair<MsgStatus, vt::TimePoint> Mailbox::probe(int src_rank, int tag, int context) {
-  const bool wildcard = src_rank == any_source || tag == any_tag;
-
-  for (;;) {
-    const Envelope* hit = nullptr;
-    MsgStatus st;
-    vt::TimePoint available;
-    if (!wildcard) {
-      const ChannelKey key{src_rank, tag, context};
-      Shard& sh = shards_[shard_of(src_rank, tag, context)];
-      std::lock_guard lock(sh.mutex);
-      auto it = sh.unexpected.find(key);
-      if (it != sh.unexpected.end() && !it->second.empty()) {
-        const Envelope& e = it->second.front();
-        hit = &e;
-        st = MsgStatus{e.src_rank, e.tag, e.bytes};
-        available = (e.eager && e.injected) ? e.arrival : e.post_time;
-      }
-    } else {
-      if (obs::metrics_enabled()) metrics().wildcard_slowpath.add();
-      std::array<std::unique_lock<std::mutex>, kShards> locks;
-      for (std::size_t s = 0; s < kShards; ++s) {
-        locks[s] = std::unique_lock(shards_[s].mutex);
-      }
-      for (Shard& sh : shards_) {
-        for (auto& [key, q] : sh.unexpected) {
-          if (q.empty() || !key_matches(key, src_rank, tag, context)) continue;
-          const Envelope& e = q.front();
-          if (hit == nullptr || e.seq < hit->seq) {
-            hit = &e;
-            st = MsgStatus{e.src_rank, e.tag, e.bytes};
-            available = (e.eager && e.injected) ? e.arrival : e.post_time;
-          }
-        }
-      }
-    }
-    if (hit != nullptr) return {st, available};
-
-    // Yield and rescan: the rescan observes whatever arrived while we were
-    // suspended, so no arrival needs to wake us.
-    ctx::BlockedScope blocked("mpi.probe");
-    sched::yield();
-  }
-}
-
-std::optional<MsgStatus> Mailbox::iprobe(int src_rank, int tag, int context) {
-  const bool wildcard = src_rank == any_source || tag == any_tag;
-
-  if (!wildcard) {
+std::optional<std::pair<MsgStatus, vt::TimePoint>> Mailbox::peek(int src_rank, int tag,
+                                                                  int context) {
+  const Envelope* hit = nullptr;
+  const auto found = [&]() -> std::optional<std::pair<MsgStatus, vt::TimePoint>> {
+    if (hit == nullptr) return std::nullopt;
+    return std::pair{MsgStatus{hit->src_rank, hit->tag, hit->bytes},
+                     (hit->eager && hit->injected) ? hit->arrival : hit->post_time};
+  };
+  if (src_rank != any_source && tag != any_tag) {
     const ChannelKey key{src_rank, tag, context};
     Shard& sh = shards_[shard_of(src_rank, tag, context)];
     std::lock_guard lock(sh.mutex);
     auto it = sh.unexpected.find(key);
-    if (it == sh.unexpected.end() || it->second.empty()) return std::nullopt;
-    const Envelope& e = it->second.front();
-    return MsgStatus{e.src_rank, e.tag, e.bytes};
+    if (it != sh.unexpected.end() && !it->second.empty()) hit = &it->second.front();
+    return found();
   }
 
   if (obs::metrics_enabled()) metrics().wildcard_slowpath.add();
@@ -525,15 +480,31 @@ std::optional<MsgStatus> Mailbox::iprobe(int src_rank, int tag, int context) {
   for (std::size_t s = 0; s < kShards; ++s) {
     locks[s] = std::unique_lock(shards_[s].mutex);
   }
-  const Envelope* hit = nullptr;
   for (Shard& sh : shards_) {
     for (auto& [key, q] : sh.unexpected) {
       if (q.empty() || !key_matches(key, src_rank, tag, context)) continue;
       if (hit == nullptr || q.front().seq < hit->seq) hit = &q.front();
     }
   }
-  if (hit == nullptr) return std::nullopt;
-  return MsgStatus{hit->src_rank, hit->tag, hit->bytes};
+  return found();
+}
+
+std::pair<MsgStatus, vt::TimePoint> Mailbox::probe(int src_rank, int tag, int context,
+                                                   const tenant::JobControl& job) {
+  // Yield and rescan: the rescan observes whatever arrived while we were
+  // suspended, so no arrival needs to wake us. A failed job (dead peer,
+  // deadlock, cancel) surfaces as its typed error instead of a hang.
+  ctx::BlockedScope blocked("mpi.probe");
+  for (;;) {
+    job.check_cancelled("probe");
+    if (auto hit = peek(src_rank, tag, context)) return *hit;
+    sched::yield();
+  }
+}
+
+std::optional<MsgStatus> Mailbox::iprobe(int src_rank, int tag, int context) {
+  if (auto hit = peek(src_rank, tag, context)) return hit->first;
+  return std::nullopt;
 }
 
 void Mailbox::deliver(Envelope& env, PostedRecv& pr, std::vector<Completion>& out) {

@@ -53,6 +53,10 @@
 #include "simmpi/network.hpp"
 #include "simmpi/request.hpp"
 
+namespace clmpi::tenant {
+class JobControl;  // support/tenant.hpp
+}
+
 namespace clmpi::mpi::detail {
 
 /// Wire-decomposition fingerprint carried by both endpoints of a transfer-
@@ -141,7 +145,9 @@ struct Completion {
 class CompletionQueue {
  public:
   void push(std::vector<Completion>& batch);
-  void drain();
+  /// Fire everything queued (unless another consumer is active); returns
+  /// whether this call fired anything.
+  bool drain();
   /// Settle `batch`: when the consumer flag is free (the common case), any
   /// queued leftovers are fired first and then `batch` is fired IN PLACE —
   /// no deque round trip, no extra lock pair. Otherwise falls back to
@@ -150,7 +156,8 @@ class CompletionQueue {
 
  private:
   /// Fire everything currently queued; the caller holds the consumer flag.
-  void drain_as_consumer();
+  /// Returns whether anything was queued.
+  bool drain_as_consumer();
   static void fire(Completion& c);
 
   std::mutex mutex_;
@@ -179,9 +186,10 @@ class Mailbox {
   /// caller can recycle it.
   void post_send_batch(std::vector<Envelope>& envs);
 
-  /// Progress-driver hook: drain any completions queued by producers that
-  /// lost the consumer race and left before the queue emptied.
-  void drain_completions() { completions_.drain(); }
+  /// Backstop hook: drain any completions queued by producers that lost the
+  /// consumer race and left before the queue emptied; returns whether any
+  /// fired.
+  bool drain_completions() { return completions_.drain(); }
 
   /// Receiver side.
   void post_recv(PostedRecv pr);
@@ -193,10 +201,16 @@ class Mailbox {
   /// status and the virtual time at which it became observable (eager:
   /// wire arrival; rendezvous: the sender's post, when its envelope/header
   /// reaches the receiver).
-  std::pair<MsgStatus, vt::TimePoint> probe(int src_rank, int tag, int context);
+  /// Throws the job's error (check_cancelled) once `job` is cancelled.
+  std::pair<MsgStatus, vt::TimePoint> probe(int src_rank, int tag, int context,
+                                            const tenant::JobControl& job);
 
  private:
   static constexpr std::size_t kShards = 8;
+
+  /// The oldest matching unexpected message: its status and the virtual
+  /// time it became observable (probe's contract).
+  std::optional<std::pair<MsgStatus, vt::TimePoint>> peek(int src_rank, int tag, int context);
 
   /// Exact-match channel identity: the full matching key of a specific
   /// (no-wildcard) operation.

@@ -8,11 +8,11 @@
 //
 //   * Continuations (request.hpp): completion callbacks chain async stages
 //     without a thread parked in wait(); the blocking waits are thin shims.
-//   * Backstop (cluster.cpp): the scheduler's idle task flushes coalescers
-//     and drains mailbox completion queues at quiescence, and a shared
-//     driver thread fires deadline rescues and job cancellation on a fixed
-//     real-time tick, so no rank has to block to make a peer's operation
-//     complete.
+//   * Backstop (cluster.cpp): the job's scheduler idle task flushes
+//     coalescers, drains mailbox completion queues and fails a cancelled
+//     job's operations at quiescence, so no rank has to block to make a
+//     peer's operation complete; at a stuck point it expires the earliest
+//     virtual deadline or fails the job with a DeadlockError.
 //   * Coalescing (this file): bursts of sub-eager sends to the same
 //     (destination mailbox, context) are queued and posted as ONE batched
 //     mailbox transaction. Every queued envelope keeps its own post_time and
@@ -38,7 +38,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -62,8 +61,6 @@ struct ProgressConfig {
   /// Flush trigger: VIRTUAL time between a batch's oldest queued post_time
   /// and a newly offered message's post_time.
   vt::Duration coalesce_horizon{vt::microseconds(100.0)};
-  /// Real-time cadence of the progress driver thread.
-  std::chrono::milliseconds driver_tick{1};
 
   /// Whether a payload of `bytes` is small enough to coalesce.
   [[nodiscard]] bool coalescable_size(std::size_t bytes) const noexcept {
@@ -99,8 +96,6 @@ struct ProgressMetrics {
       obs::Registry::instance().counter("progress.coalesce.flush.direct");
   obs::Counter& flush_tick =
       obs::Registry::instance().counter("progress.coalesce.flush.tick");
-  obs::Counter& driver_ticks =
-      obs::Registry::instance().counter("progress.driver.ticks");
   obs::Counter& persistent_inits =
       obs::Registry::instance().counter("progress.persistent.inits");
   obs::Counter& persistent_starts =
@@ -128,7 +123,7 @@ class SendCoalescer {
   /// matches program order.
   void flush_key(const Mailbox& box, int context);
 
-  /// Flush every queued batch (blocking-wait hook, driver tick, teardown).
+  /// Flush every queued batch (blocking-wait hook, idle task, teardown).
   void flush_all(FlushTrigger trigger);
 
   /// Lock-free emptiness probe for the hot no-op paths.

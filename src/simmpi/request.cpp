@@ -1,7 +1,5 @@
 #include "simmpi/request.hpp"
 
-#include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -11,6 +9,7 @@
 #include "support/context.hpp"
 #include "support/error.hpp"
 #include "support/sched.hpp"
+#include "support/tenant.hpp"
 
 namespace clmpi::mpi {
 
@@ -207,17 +206,6 @@ bool test_all(std::span<Request> requests, vt::Clock& clock) {
 
 namespace detail {
 
-/// Read per call: the value only matters on the progress driver's rescue
-/// pass, and tests override it via the env.
-std::chrono::milliseconds deadline_grace() {
-  if (const char* env = std::getenv("CLMPI_DEADLINE_GRACE_MS");
-      env != nullptr && *env != '\0') {
-    const long ms = std::strtol(env, nullptr, 10);
-    if (ms > 0) return std::chrono::milliseconds(ms);
-  }
-  return std::chrono::milliseconds(2000);
-}
-
 std::exception_ptr RequestState::make_timeout_error() const {
   return std::make_exception_ptr(TimeoutError(
       "operation deadline of " + std::to_string(deadline_.s) +
@@ -266,7 +254,7 @@ bool RequestState::resolve(vt::TimePoint when, MsgStatus st, std::exception_ptr 
     // may then read them without the mutex.
     done_flag_.store(true, std::memory_order_release);
   }
-  sched::note_progress();
+  if (job_ != nullptr) job_->credit_mailbox();
   for (auto& fn : to_run) fn(when, st, error);
   return true;
 }
@@ -284,15 +272,15 @@ void RequestState::arm_deadline(vt::TimePoint deadline) {
   CLMPI_REQUIRE(!done_, "arm_deadline on a completed request");
   deadline_armed_ = true;
   deadline_ = deadline;
-  armed_at_ = std::chrono::steady_clock::now();
 }
 
-bool RequestState::rescue_if_stale(std::chrono::steady_clock::time_point now,
-                                   std::chrono::milliseconds grace) {
-  {
-    std::lock_guard lock(mutex_);
-    if (!deadline_armed_ || done_ || now - armed_at_ < grace) return false;
-  }
+std::optional<vt::TimePoint> RequestState::pending_deadline() const {
+  std::lock_guard lock(mutex_);
+  if (!deadline_armed_ || done_) return std::nullopt;
+  return deadline_;
+}
+
+bool RequestState::rescue_deadline() {
   return resolve({}, MsgStatus{}, nullptr, Rescue::deadline);
 }
 
@@ -319,8 +307,8 @@ vt::TimePoint RequestState::block_until_done() {
     // Poll-yield: stay in the scheduler's ready queue and re-poll the done
     // flag per resume — the worker thread is never parked, so peer ranks
     // (and the service fibers completing this request) keep running. A
-    // deadline-armed request needs no timer here: the progress driver's
-    // tick rescues it once the grace has passed since arming.
+    // deadline-armed request needs no timer here: if the job gets stuck,
+    // its idle task expires the earliest deadline.
     ctx::BlockedScope blocked("mpi.request.wait");
     while (!done()) sched::yield();
   }

@@ -7,18 +7,22 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "vt/clock.hpp"
 #include "vt/time.hpp"
+
+namespace clmpi::tenant {
+class JobControl;  // support/tenant.hpp
+}
 
 namespace clmpi::mpi {
 
@@ -100,11 +104,6 @@ bool test_all(std::span<Request> requests, vt::Clock& clock);
 
 namespace detail {
 
-/// Real-time grace allowed to a deadline-armed operation before the progress
-/// driver concludes it will never resolve. CLMPI_DEADLINE_GRACE_MS overrides
-/// the 2000 ms default.
-std::chrono::milliseconds deadline_grace();
-
 class RequestState;
 
 /// Allocate a fresh RequestState from the process-wide block pool. Every
@@ -128,19 +127,20 @@ class RequestState {
   ///    the deadline, independent of thread scheduling;
   ///  * liveness rescue — an operation that never resolves (e.g. a receive
   ///    no one will ever match) fails with the same TimeoutError at
-  ///    `deadline` once a real-time grace period (CLMPI_DEADLINE_GRACE_MS,
-  ///    default 2000) has passed since arming, instead of hanging until the
-  ///    watchdog kills the process. The cluster's progress driver performs
-  ///    the rescue (rescue_if_stale), whether or not a thread waits.
+  ///    `deadline` once its job is stuck and no other pending operation of
+  ///    the job has an earlier deadline (ClusterCore::resolve_stuck), instead
+  ///    of hanging until the watchdog kills the process.
   /// Must be armed before the operation can complete (i.e. before posting).
   void arm_deadline(vt::TimePoint deadline);
 
+  /// The armed deadline of a still-pending operation; nullopt when it is
+  /// not armed or already resolved.
+  [[nodiscard]] std::optional<vt::TimePoint> pending_deadline() const;
+
   /// Liveness rescue: fail a still-pending deadline-armed operation with a
-  /// TimeoutError AT its virtual deadline once `now - armed_at >= grace`.
-  /// Returns false (no-op) if the operation is not armed, already resolved
-  /// or not yet stale.
-  bool rescue_if_stale(std::chrono::steady_clock::time_point now,
-                       std::chrono::milliseconds grace);
+  /// TimeoutError AT its virtual deadline. Returns false (no-op) if the
+  /// operation is not armed or already resolved.
+  bool rescue_deadline();
 
   /// Job-cancellation rescue: fail a still-pending operation with `error`
   /// (a CancelledError) now, fixing its outcome — a real resolution racing
@@ -176,6 +176,10 @@ class RequestState {
   /// POD pointer, set strictly BEFORE the request is posted (it is read
   /// without synchronization on the wait path).
   void set_flush_hint(SendCoalescer* co) noexcept { flush_co_ = co; }
+  /// Count the operation against `job`'s mailbox-depth quota until it
+  /// settles: the caller charged it, resolve() credits it back. Set
+  /// strictly before the request is posted.
+  void set_job(tenant::JobControl* job) noexcept { job_ = job; }
   /// Flush the hinted coalescer, if any (wait_any's pre-block pass).
   void flush_hinted();
 
@@ -198,13 +202,12 @@ class RequestState {
   /// fields are written.
   std::atomic<bool> done_flag_{false};
   SendCoalescer* flush_co_{nullptr};
+  tenant::JobControl* job_{nullptr};
   bool deadline_armed_{false};
   /// True when a deadline timeout or a cancel fixed the outcome; a late real
   /// completion racing it is then ignored.
   bool timed_out_{false};
   vt::TimePoint deadline_{};
-  /// Real time at which the deadline was armed; the rescue's staleness clock.
-  std::chrono::steady_clock::time_point armed_at_{};
   vt::TimePoint completion_{};
   MsgStatus status_{};
   std::exception_ptr error_;

@@ -1,7 +1,6 @@
 #include "simmpi/window.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <limits>
@@ -14,6 +13,7 @@
 #include "simmpi/comm.hpp"
 #include "support/error.hpp"
 #include "support/sched.hpp"
+#include "support/tenant.hpp"
 
 namespace clmpi::mpi {
 
@@ -57,7 +57,6 @@ struct WindowShared {
   std::vector<int> nodes;  ///< comm rank -> global node id
 
   std::mutex m;
-  std::condition_variable cv;
 
   // Creation rendezvous.
   std::vector<Region> regions;
@@ -186,6 +185,16 @@ vt::TimePoint WindowShared::apply_one_locked(const PendingOp& op) {
 }
 
 namespace {
+
+/// A rank's wait for its peers at a window rendezvous. The peers may never
+/// arrive (one of them failed, or the job deadlocked): once the job is
+/// cancelled the wait throws the job's error instead of hanging.
+template <typename Arrived>
+void rendezvous_wait(std::unique_lock<std::mutex>& lock, const tenant::JobControl& job,
+                     Arrived arrived, const char* site) {
+  sched::wait(lock, [&] { return arrived() || job.cancel_requested(); }, site);
+  if (!arrived()) job.check_cancelled(site);
+}
 
 void post_op(const std::shared_ptr<WindowShared>& sh, int rank, PendingOp op) {
   if (sh == nullptr) {
@@ -321,11 +330,9 @@ vt::TimePoint Win::fence(vt::TimePoint ready) {
       sh->enter_max = {};
       std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
       ++sh->generation;
-      sh->cv.notify_all();
-      sched::note_progress();
     } else {
-      sched::wait(lock, sh->cv, [&] { return sh->generation != my_gen; },
-                  "mpi.win.fence");
+      detail::rendezvous_wait(
+          lock, *sh->core->job, [&] { return sh->generation != my_gen; }, "mpi.win.fence");
     }
     // Still under the lock: the next round's apply cannot run until this
     // rank re-arrives, so round_end / rank_fault are this round's values.
@@ -380,11 +387,9 @@ void Win::free(vt::Clock& clock) {
       sh->enter_max = {};
       std::fill(sh->in_rendezvous.begin(), sh->in_rendezvous.end(), 0);
       ++sh->generation;
-      sh->cv.notify_all();
-      sched::note_progress();
     } else {
-      sched::wait(lock, sh->cv, [&] { return sh->generation != my_gen; },
-                  "mpi.win.free");
+      detail::rendezvous_wait(
+          lock, *sh->core->job, [&] { return sh->generation != my_gen; }, "mpi.win.free");
     }
     end = sh->round_end;
     had_pending = sh->rank_fault[static_cast<std::size_t>(rank_)] == 3;
@@ -426,12 +431,9 @@ Win create_window(Comm& comm, std::span<std::byte> region, vt::Clock& clock,
     sh->regions[static_cast<std::size_t>(comm.rank())] = {region, std::move(ingress),
                                                           std::move(egress)};
     sh->create_end = vt::max(sh->create_end, clock.now());
-    if (++sh->registered == sh->nranks) {
-      sh->cv.notify_all();
-      sched::note_progress();
-    } else {
-      sched::wait(lock, sh->cv, [&] { return sh->registered == sh->nranks; },
-                  "mpi.win.create");
+    if (++sh->registered != sh->nranks) {
+      detail::rendezvous_wait(lock, *core->job, [&] { return sh->registered == sh->nranks; },
+                              "mpi.win.create");
     }
   }
   {

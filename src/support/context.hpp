@@ -15,13 +15,13 @@
 //
 // ctx::current() always returns a context: the scheduler installs the running
 // fiber's around each resume, and a plain thread falls back to a thread_local
-// instance — so call sites need no check, and plain threads (the progress
-// driver, queue workers created outside a cluster) keep plain thread_local
-// behaviour.
+// instance — so call sites need no check, and plain threads (queue workers
+// created outside a cluster) keep plain thread_local behaviour.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,6 +55,10 @@ class ExecContext {
   /// context), so the watchdog can dump per-RANK sites in both scheduler
   /// modes without touching a possibly-dead rank's context.
   std::atomic<const char*>* blocked_mirror{nullptr};
+  /// BlockedScopes this task has entered. Read by the scheduler after the
+  /// task yields: the same count as at its previous yield means the task
+  /// re-polled the wait it was already in and found it still false.
+  std::uint64_t blocked_seq{0};
 
   /// The service job this task runs under; null for standalone runs. Set by
   /// the cluster launcher on rank tasks and propagated by spawn_service to
@@ -93,6 +97,7 @@ void set_current(ExecContext* c) noexcept;
 class BlockedScope {
  public:
   explicit BlockedScope(const char* site) noexcept : ctx_(&current()) {
+    ++ctx_->blocked_seq;
     ctx_->blocked.store(site, std::memory_order_relaxed);
     if (ctx_->blocked_mirror != nullptr) {
       ctx_->blocked_mirror->store(site, std::memory_order_relaxed);

@@ -57,6 +57,10 @@ enum class Status : int {
   /// The job was cancelled (explicitly, or by its job-level deadline); ranks
   /// unwind at their next cancellation point with this status.
   cancelled = -1015,
+  /// The job deadlocked: every task of it was blocked, no virtual deadline
+  /// was left to expire, so no operation could ever complete. Every pending
+  /// operation fails with this status.
+  deadlock = -1016,
 };
 
 /// Human-readable name of a status code ("CL_SUCCESS", ...).
@@ -127,6 +131,15 @@ class CancelledError : public Error {
  public:
   explicit CancelledError(const std::string& what_arg)
       : Error(what_arg, Status::cancelled) {}
+};
+
+/// Fails every pending operation of a job found stuck with no deadline left
+/// to expire (a communication deadlock, a dead peer nobody else noticed).
+/// The message lists where each rank was blocked.
+class DeadlockError : public Error {
+ public:
+  explicit DeadlockError(const std::string& what_arg)
+      : Error(what_arg, Status::deadlock) {}
 };
 
 namespace detail {

@@ -32,12 +32,6 @@ namespace clmpi::sched {
 
 namespace {
 
-/// Global progress epoch (idle-backoff heartbeat). Only maintained while at
-/// least one scheduler is live, so plain-thread hot paths pay one relaxed
-/// load and nothing else.
-std::atomic<int> g_schedulers{0};
-std::atomic<std::uint64_t> g_epoch{0};
-
 long env_long(const char* name) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return 0;
@@ -91,6 +85,7 @@ struct Fiber {
   bool started{false};
   std::uint64_t job{0};  ///< tenancy tag; 0 = untagged (single-job mode)
   Offload* offload{nullptr};  ///< body handed to the worker by this yield
+  std::uint64_t polled_seq{0};  ///< ctx.blocked_seq at the previous yield
   ctx::ExecContext ctx;
   Scheduler::Impl* owner{nullptr};
 #ifdef CLMPI_SCHED_ASAN
@@ -125,10 +120,20 @@ struct Scheduler::Impl {
   // its idle task) runs, and no other fiber of that job is popped until the
   // turn is released. Invariant (under `mutex`): a tag appears in `rotation`
   // exactly once iff its deque is non-empty and its turn is free; a `jobs`
-  // entry exists iff its deque is non-empty or its turn is taken.
+  // entry exists iff the job has a live fiber.
   struct Job {
     std::deque<Fiber*> ready;
     bool turn{false};
+    int live{0};      ///< unfinished fibers
+    int offloads{0};  ///< offload bodies in flight
+    // The current run of quiet resumes (header comment): its length, and
+    // whether a raw yield() was among them.
+    int quiet{0};
+    bool raw{false};
+    void restart_round() noexcept {
+      quiet = 0;
+      raw = false;
+    }
   };
   mutable std::mutex mutex;
   std::unordered_map<std::uint64_t, Job> jobs;
@@ -145,13 +150,13 @@ struct Scheduler::Impl {
   std::condition_variable turn_cv;
   std::condition_variable offload_done_cv;
 
-  // Idle backstops, one per cluster run, keyed by token. They run under
+  // Idle tasks, one per cluster run, keyed by token. They run under
   // `idle_mutex`, so remove_idle_task blocks while a pass is in flight and
   // a removed task can never run again after removal returns.
   struct IdleTask {
     const void* token;
     std::uint64_t job;
-    std::function<void()> task;
+    std::function<bool(bool)> task;
   };
   std::mutex idle_mutex;
   std::vector<IdleTask> idle_tasks;
@@ -159,19 +164,18 @@ struct Scheduler::Impl {
   std::unique_ptr<Fiber> make_fiber(std::function<void()> fn, std::string label,
                                     std::uint64_t job);
   void enqueue(std::vector<std::unique_ptr<Fiber>> fibers);
-  void push_ready(Fiber* f);            // requires `mutex`
-  Fiber* pop_ready();                   // requires `mutex`; takes the job's turn
-  bool take_turn(std::uint64_t job);    // requires `mutex`
-  void release_turn(std::uint64_t job); // requires `mutex`
+  // The three below require `mutex`; `j` is the job's entry in `jobs`.
+  void push_ready(Fiber* f, Job& j);
+  Fiber* pop_ready();  // takes the job's turn
+  void release_turn(std::uint64_t job, Job& j);
   void offload(const std::function<void()>& fn);
   void worker_loop(int index);
-  bool run_idle_tasks();
+  bool run_idle_tasks(std::uint64_t job, bool stuck);
   void resume(Fiber* f);
   void retire(Fiber* f);
 };
 
-void Scheduler::Impl::push_ready(Fiber* f) {
-  Job& j = jobs[f->job];
+void Scheduler::Impl::push_ready(Fiber* f, Job& j) {
   j.ready.push_back(f);
   if (!j.turn && j.ready.size() == 1) rotation.push_back(f->job);
 }
@@ -187,20 +191,11 @@ Fiber* Scheduler::Impl::pop_ready() {
   return f;
 }
 
-bool Scheduler::Impl::take_turn(std::uint64_t job) {
-  Job& j = jobs[job];
-  if (j.turn) return false;
-  j.turn = true;
-  if (!j.ready.empty()) rotation.erase(std::find(rotation.begin(), rotation.end(), job));
-  return true;
-}
-
-void Scheduler::Impl::release_turn(std::uint64_t job) {
-  const auto it = jobs.find(job);
-  it->second.turn = false;
-  if (it->second.ready.empty()) {
-    jobs.erase(it);  // keep the map bounded across many short jobs
-  } else {
+void Scheduler::Impl::release_turn(std::uint64_t job, Job& j) {
+  j.turn = false;
+  if (j.live == 0) {
+    jobs.erase(job);  // keep the map bounded across many short jobs
+  } else if (!j.ready.empty()) {
     rotation.push_back(job);
   }
 }
@@ -226,7 +221,6 @@ namespace {
   }
   f->fn = nullptr;  // release captures before the stack goes away
   f->finished.store(true, std::memory_order_release);
-  note_progress();
 #ifdef CLMPI_SCHED_TSAN
   __tsan_switch_to_fiber(f->tsan_ret, 0);
 #endif
@@ -241,11 +235,6 @@ namespace {
 }  // namespace
 
 bool on_fiber() noexcept { return t_current != nullptr; }
-
-void note_progress() noexcept {
-  if (g_schedulers.load(std::memory_order_relaxed) == 0) return;
-  g_epoch.fetch_add(1, std::memory_order_relaxed);
-}
 
 void offload(const std::function<void()>& fn) {
   if (Fiber* f = t_current) {
@@ -308,7 +297,10 @@ void Scheduler::Impl::enqueue(std::vector<std::unique_ptr<Fiber>> fibers) {
   live.fetch_add(static_cast<int>(fibers.size()), std::memory_order_acq_rel);
   std::lock_guard lock(mutex);
   for (auto& f : fibers) {
-    push_ready(f.get());
+    Job& j = jobs[f->job];
+    ++j.live;
+    j.restart_round();  // a round must include the newcomer
+    push_ready(f.get(), j);
     all.push_back(std::move(f));
   }
 }
@@ -349,7 +341,10 @@ void Scheduler::Impl::retire(Fiber* f) {
     // Drop the Fiber record itself: a persistent scheduler hosts thousands
     // of short jobs over its life and must not accumulate their corpses.
     std::lock_guard lock(mutex);
-    release_turn(f->job);
+    Job& j = jobs.find(f->job)->second;
+    --j.live;
+    j.restart_round();
+    release_turn(f->job, j);
     std::erase_if(all, [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });
   }
   live.fetch_sub(1, std::memory_order_acq_rel);
@@ -358,12 +353,8 @@ void Scheduler::Impl::retire(Fiber* f) {
 void Scheduler::Impl::offload(const std::function<void()>& fn) {
   Offload job;
   job.fn = &fn;
-  // Hand the body to this worker and the turn to the job's next fiber. This
-  // resume made progress that nothing else signals (the body is pending,
-  // not blocked): bump the epoch, or the job's next round would count
-  // toward quiescence and nap once per offload.
+  // Hand the body to this worker and the turn to the job's next fiber.
   t_current->offload = &job;
-  note_progress();
   yield();
   // Next turn: the body may still be running. Wait for it while KEEPING the
   // turn — yielding here instead would give the job's other fibers a
@@ -376,28 +367,17 @@ void Scheduler::Impl::offload(const std::function<void()>& fn) {
   if (job.error) std::rethrow_exception(job.error);
 }
 
-bool Scheduler::Impl::run_idle_tasks() {
-  bool ran = false;
+bool Scheduler::Impl::run_idle_tasks(std::uint64_t job, bool stuck) {
+  bool progressed = false;
   std::lock_guard ilock(idle_mutex);
   for (IdleTask& t : idle_tasks) {
-    {
-      // A job's backstop runs inside its turn, like one of its fibers; a job
-      // that holds its turn elsewhere is not quiescent, so skip it.
-      std::lock_guard lock(mutex);
-      if (!take_turn(t.job)) continue;
-    }
-    t.task();
-    ran = true;
-    std::lock_guard lock(mutex);
-    release_turn(t.job);
+    if (t.job == job && t.task(stuck)) progressed = true;
   }
-  return ran;
+  return progressed;
 }
 
 void Scheduler::Impl::worker_loop(int index) {
   log::set_thread_label("sched-worker" + std::to_string(index));
-  std::uint64_t seen_epoch = g_epoch.load(std::memory_order_relaxed);
-  std::size_t fruitless = 0;
   for (;;) {
     Fiber* f = nullptr;
     {
@@ -425,13 +405,36 @@ void Scheduler::Impl::worker_loop(int index) {
       continue;
     }
     Offload* job = std::exchange(f->offload, nullptr);
+    // Quiet: back from a raw yield(), or polling the wait it already polled
+    // at its previous yield (the fiber is suspended: its context is ours to
+    // read).
+    const bool raw = f->ctx.blocked.load(std::memory_order_relaxed) == nullptr;
+    const bool quiet = job == nullptr && (raw || f->ctx.blocked_seq == f->polled_seq);
+    f->polled_seq = f->ctx.blocked_seq;
+    bool idle_round = false;
+    bool stuck = false;
     {
       // Push-back and turn release in one critical section: the job's next
       // fiber is popped strictly after this one is back in its FIFO, so the
       // job's resume sequence is the one-worker sequence at any worker count.
       std::lock_guard lock(mutex);
-      push_ready(f);
-      release_turn(f->job);
+      Job& j = jobs.find(f->job)->second;
+      push_ready(f, j);
+      if (job != nullptr) ++j.offloads;
+      if (quiet) {
+        ++j.quiet;
+        j.raw = j.raw || raw;
+      } else {
+        j.restart_round();
+      }
+      if (j.quiet >= j.live && j.offloads == 0) {
+        // A full quiet round: keep the turn for the job's idle task.
+        idle_round = true;
+        stuck = !j.raw;
+        j.restart_round();
+      } else {
+        release_turn(f->job, j);
+      }
     }
     if (job != nullptr) {
       // The fiber offloaded a body: run it here, off the turn, while an
@@ -441,26 +444,19 @@ void Scheduler::Impl::worker_loop(int index) {
       {
         std::lock_guard lock(mutex);
         job->done = true;
+        --jobs.find(f->job)->second.offloads;
       }
       offload_done_cv.notify_all();
     }
-    // Idle backoff: a blocked fiber re-enters the ready queue, so when every
-    // live fiber waits on an external thread (progress driver, a plain-thread
-    // peer) the pool would spin. The progress epoch tells us whether anything
-    // completed since the last pass; after a full fruitless round, nap.
-    const std::uint64_t e = g_epoch.load(std::memory_order_relaxed);
-    if (e != seen_epoch) {
-      seen_epoch = e;
-      fruitless = 0;
-    } else if (++fruitless > static_cast<std::size_t>(
-                                 std::max(1, live.load(std::memory_order_relaxed)))) {
-      fruitless = 0;
-      // Quiescence: every live fiber was resumed once and nothing advanced.
-      // Run the backstop tasks first — they may release queued work
-      // (coalesced sends, cancel-failed requests) that unblocks a fiber on
-      // the next pass; only nap when even the tasks produced no progress.
-      if (run_idle_tasks() && g_epoch.load(std::memory_order_relaxed) != seen_epoch) continue;
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    if (idle_round) {
+      const bool progressed = run_idle_tasks(f->job, stuck);
+      {
+        std::lock_guard lock(mutex);
+        release_turn(f->job, jobs.find(f->job)->second);
+      }
+      // Nothing inside the job can advance until something outside it acts
+      // (a plain thread, a canceller); the watchdog guards the rest.
+      if (!progressed) std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
 }
@@ -470,13 +466,11 @@ Scheduler::Scheduler(Options options) : impl_(std::make_unique<Impl>()) {
   impl_->stack_bytes =
       std::max<std::size_t>(options.stack_bytes > 0 ? options.stack_bytes : default_stack_bytes(),
                             std::size_t{64} << 10);
-  g_schedulers.fetch_add(1, std::memory_order_relaxed);
 }
 
 Scheduler::~Scheduler() {
   stop();
   join();
-  g_schedulers.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Scheduler::spawn(std::function<void()> fn, std::string label, std::uint64_t job) {
@@ -492,7 +486,8 @@ void Scheduler::spawn(std::vector<Task> tasks, std::uint64_t job) {
   impl_->enqueue(std::move(batch));
 }
 
-void Scheduler::add_idle_task(const void* token, std::uint64_t job, std::function<void()> task) {
+void Scheduler::add_idle_task(const void* token, std::uint64_t job,
+                              std::function<bool(bool stuck)> task) {
   std::lock_guard lock(impl_->idle_mutex);
   impl_->idle_tasks.push_back({token, job, std::move(task)});
 }
@@ -579,7 +574,6 @@ ServiceHandle spawn_service(std::string label, std::function<void()> fn) {
           ctx::current().job = job_ctx;
           fn();
           done->store(true, std::memory_order_release);
-          note_progress();
         },
         std::move(label), cur->job));
     cur->owner->enqueue(std::move(one));

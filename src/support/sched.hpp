@@ -6,8 +6,8 @@
 // the 1000-rank scaling benches fit in a small pool. Every blocking point in
 // the runtime — Request waits, collective rendezvous, window fences, mailbox
 // probes, event waits, the dispatcher's and the queue workers' idle waits —
-// goes through sched::wait / sched::yield, which suspends the FIBER instead
-// of parking the OS thread.
+// goes through sched::wait / sched::yield inside a ctx::BlockedScope, which
+// suspends the FIBER instead of parking the OS thread.
 //
 // Execution model: one turn per job. At most one fiber of a given job tag
 // runs at a time, and a job's fibers take their turns in FIFO order, so each
@@ -18,12 +18,22 @@
 //
 // Blocking model: poll-yield. A blocked fiber stays in the round-robin ready
 // queue and re-checks its predicate on every resume. There is no wakeup
-// bookkeeping to lose: completions produced by other fibers, by the progress
-// driver, or by any plain thread are observed on the next resume regardless
-// of who produced them. The cost — fruitless resumes while everybody waits
-// on an external thread — is bounded by an idle backoff: workers watch a
-// global progress epoch (note_progress(), bumped at every completion site)
-// and sleep briefly when a full pass over the ready queue advanced nothing.
+// bookkeeping to lose: completions produced by other fibers or by any plain
+// thread are observed on the next resume regardless of who produced them.
+//
+// Quiescence, per job: a resume is *quiet* when the fiber comes back
+// polling the very wait it polled at its previous yield (its predicate was
+// still false and it did nothing else), or from a raw yield(). When one
+// full round of a job's turns — every live fiber of the job resumed once —
+// was quiet and no offload body of the job is in flight, the job's idle
+// task runs inside its turn (Cluster::run registers the backstop that
+// flushes queued sends, drains completions and fails a cancelled job's
+// operations). If every fiber of that round was inside a ctx::BlockedScope
+// and the task found nothing to do, the job is *stuck*: nothing inside it
+// can ever advance, and the task resolves it (expires the earliest virtual
+// deadline, else fails the job with a DeadlockError). The count is kept
+// per job, so busy co-tenants cannot hide a stuck job. Only a round whose
+// task made no progress ends in a short nap.
 //
 // Determinism contract: the scheduler never touches virtual time, and the
 // turn fixes the order in which a job's fibers reach shared virtual
@@ -33,8 +43,8 @@
 // interleaving (tests/test_sched.cpp holds 1, 2 and 4 workers to that).
 //
 // Plain threads: code outside a scheduler (a queue created on a test's main
-// thread, the progress driver) still works — yield() is an OS yield there,
-// wait() a plain cv wait and spawn_service() a std::thread.
+// thread) still works — yield() is an OS yield there, the cv form of wait()
+// a plain cv wait and spawn_service() a std::thread.
 //
 // Sanitizers: fiber stack switches are annotated for ASan
 // (__sanitizer_{start,finish}_switch_fiber) and TSan (__tsan_*_fiber), so
@@ -52,6 +62,7 @@
 #include <vector>
 
 #include "support/context.hpp"
+#include "support/error.hpp"
 
 namespace clmpi::sched {
 
@@ -73,31 +84,35 @@ void yield();
 /// rethrowing its exception. On a plain thread: runs `fn` inline.
 void offload(const std::function<void()>& fn);
 
-/// Completion-side hook: something observable by a blocked task happened
-/// (request settled, event completed, message arrived, epoch closed). Bumps
-/// the global progress epoch that gates the workers' idle backoff — cheap
-/// (one relaxed add), safe to call from any thread, never required for
-/// correctness (blocked fibers re-poll regardless).
-void note_progress() noexcept;
+/// Fiber-only condition wait, for callers that always run on a fiber
+/// (everything inside a cluster run): unlock-yield-relock until `pred()`
+/// holds, publishing `site` as the caller's blocked site (watchdog and
+/// deadlock diagnostics, quiescence detection). No cv: a blocked fiber
+/// re-polls on every resume. `site` must be a string literal (or otherwise
+/// outlive the wait).
+template <typename Pred>
+void wait(std::unique_lock<std::mutex>& lock, Pred&& pred, const char* site) {
+  CLMPI_REQUIRE(on_fiber(), "sched::wait without a cv called off a fiber");
+  ctx::BlockedScope blocked(site);
+  while (!pred()) {
+    lock.unlock();
+    yield();
+    lock.lock();
+  }
+}
 
-/// Fiber-aware condition wait. Publishes `site` as the caller's blocked site
-/// (watchdog diagnostics) on fibers and plain threads alike. Fiber path:
-/// unlock-yield-relock until `pred()` holds — the cv is not used (poll-yield
-/// needs no wakeup).
-/// Thread path: exactly cv.wait(lock, pred). `site` must be a string
-/// literal (or otherwise outlive the wait).
+/// Condition wait for objects that may also live outside a cluster (OpenCL
+/// queues and events created on a plain thread): the fiber-only wait above
+/// on a fiber, exactly cv.wait(lock, pred) on a plain thread (with `site`
+/// published all the same).
 template <typename Pred>
 void wait(std::unique_lock<std::mutex>& lock, std::condition_variable& cv, Pred&& pred,
           const char* site) {
-  ctx::BlockedScope blocked(site);
   if (on_fiber()) {
-    while (!pred()) {
-      lock.unlock();
-      yield();
-      lock.lock();
-    }
+    wait(lock, std::forward<Pred>(pred), site);
     return;
   }
+  ctx::BlockedScope blocked(site);
   cv.wait(lock, std::forward<Pred>(pred));
 }
 
@@ -183,19 +198,17 @@ class Scheduler {
   /// Launch the worker pool. Call once, after the initial spawns.
   void start();
 
-  /// Register / remove a quiescence backstop, run by a worker after a full
-  /// pass over the ready queue advanced nothing (before the idle nap). This
-  /// is where the wire backstop of the runtime (the progress engine's
-  /// coalescer flush and completion drain) runs instead of on the progress
-  /// driver's wall-clock tick: a racing
-  /// real-time thread would perturb post order against the deterministic
-  /// cooperative schedule, while the task runs inside job `job`'s turn —
-  /// serialized with that job's fibers — at a schedule-determined point (a
-  /// pass that finds the turn taken skips the task). Each cluster run adds
-  /// its task for its lifetime, keyed by `token`; tasks must be callable
-  /// from any worker. remove_idle_task blocks while an idle pass is in
-  /// flight, so after it returns the task is guaranteed never to run again.
-  void add_idle_task(const void* token, std::uint64_t job, std::function<void()> task);
+  /// Register / remove job `job`'s idle task, keyed by `token` (each
+  /// cluster run adds one for its lifetime). A worker runs it inside the
+  /// job's turn — serialized with the job's fibers, at a schedule-determined
+  /// point — after each quiet round of the job (see the header comment).
+  /// `stuck` is true when every fiber of that round was inside a
+  /// ctx::BlockedScope, so nothing but the task can unblock the job. The
+  /// task returns whether it made progress; when none of the job's tasks
+  /// did, the worker naps briefly. Tasks must be callable from any worker.
+  /// remove_idle_task blocks while an idle pass is in flight, so after it
+  /// returns the task is guaranteed never to run again.
+  void add_idle_task(const void* token, std::uint64_t job, std::function<bool(bool stuck)> task);
   void remove_idle_task(const void* token);
 
   /// Persistent mode: stop admitting idle waits — workers exit once no fiber

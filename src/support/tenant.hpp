@@ -1,12 +1,12 @@
 // Per-job tenancy control block: quotas, cancellation, usage accounting.
 //
-// One JobControl exists per service-hosted job (svc::Service owns it for the
-// job's whole lifetime). It is deliberately a *support*-layer type: the
-// staging pool (transfer), the mailbox/comm layer (simmpi) and the cluster
-// launcher all enforce against it at their allocation points, and none of
-// them may depend on the service layer above. A null JobControl* anywhere
-// means "not a service job" — every hook is skipped and behaviour is exactly
-// the pre-service runtime.
+// One JobControl exists per cluster run: svc::Service owns one for each
+// hosted job's whole lifetime, and a standalone Cluster::run makes a private
+// one. It is deliberately a *support*-layer type: the staging pool
+// (transfer), the mailbox/comm layer (simmpi) and the cluster launcher all
+// enforce against it at their allocation points, and none of them may
+// depend on the service layer above. Only code running outside any cluster
+// (a plain thread's ctx::current().job) sees a null JobControl*.
 //
 // Quota semantics: limits are per job (not per rank). A limit of 0 means
 // unlimited. Enforcement throws the typed QuotaError on the allocating
@@ -21,6 +21,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <string>
 
 #include "support/error.hpp"
@@ -49,9 +51,10 @@ inline void raise_hwm(std::atomic<std::size_t>& hwm, std::size_t v) noexcept {
 }
 }  // namespace detail
 
-/// Shared control block of one service job. The service sets `cancelled`
-/// (explicit cancel or deadline); the runtime charges usage and observes the
-/// flag at its cancellation points.
+/// Shared control block of one job. The cancel flag goes up on an explicit
+/// cancel or a service deadline, when a rank fails, and when the job is
+/// found deadlocked; the runtime charges usage and observes the flag at its
+/// cancellation points and blocking waits.
 class JobControl {
  public:
   JobControl(std::uint64_t job_id, JobQuotas q) : id_(job_id), quotas_(q) {}
@@ -76,16 +79,33 @@ class JobControl {
   [[nodiscard]] bool cancel_requested() const noexcept {
     return cancelled_.load(std::memory_order_relaxed);
   }
-  /// The raw flag, for wait loops that poll it (sched::wait).
-  [[nodiscard]] const std::atomic<bool>* cancel_flag() const noexcept { return &cancelled_; }
-
-  /// Cancellation point: throw CancelledError when cancellation was
-  /// requested. `where` names the point for the error message.
-  void check_cancelled(const char* where) const {
-    if (cancel_requested()) {
-      throw CancelledError(std::string("job ") + std::to_string(id_) + " cancelled at " +
-                           where);
+  /// Fail the job with `error` (e.g. a DeadlockError) and raise the cancel
+  /// flag. The first failure wins; returns whether this call recorded it.
+  bool fail(std::exception_ptr error) {
+    {
+      std::lock_guard lock(failure_mutex_);
+      if (failure_) return false;
+      failure_ = std::move(error);
     }
+    request_cancel();
+    return true;
+  }
+
+  /// The error a cancelled job's operations fail with: the recorded failure,
+  /// else a CancelledError naming `where`.
+  [[nodiscard]] std::exception_ptr cancel_error(const std::string& where) const {
+    {
+      std::lock_guard lock(failure_mutex_);
+      if (failure_) return failure_;
+    }
+    return std::make_exception_ptr(
+        CancelledError("job " + std::to_string(id_) + " cancelled at " + where));
+  }
+
+  /// Cancellation point: throw cancel_error(where) when cancellation was
+  /// requested.
+  void check_cancelled(const char* where) const {
+    if (cancel_requested()) std::rethrow_exception(cancel_error(where));
   }
 
   // --- staging-pool bytes ---------------------------------------------------
@@ -162,6 +182,8 @@ class JobControl {
   std::uint64_t id_;
   JobQuotas quotas_;
   std::atomic<bool> cancelled_{false};
+  mutable std::mutex failure_mutex_;
+  std::exception_ptr failure_;
   std::atomic<std::size_t> staging_in_use_{0};
   std::atomic<std::size_t> staging_hwm_{0};
   std::atomic<std::uint64_t> staging_denials_{0};

@@ -7,8 +7,6 @@
 //   * one persistent fiber-scheduler worker pool (support/sched.hpp) that
 //     every job's rank fibers share, scheduled by the deterministic per-job
 //     round robin (job-tagged fibers, fair pick),
-//   * the process-wide progress driver (already shared — jobs register
-//     their cores like any cluster run),
 //   * a bounded admission queue with typed rejection (Status::rejected),
 //   * a small set of runner threads (`max_active`) that dequeue jobs and
 //     drive Cluster::run in service mode (external scheduler + JobControl),
@@ -20,9 +18,12 @@
 //     tenant::JobControl; an overrunning job fails itself with QuotaError
 //     and can never starve a co-tenant;
 //   * cancellation/deadline — cooperative cancel flag observed at the
-//     runtime's cancellation points, plus the cancel backstop that fails
-//     the job's pending operations so blocked ranks unwind (built on PR 4's
-//     timeout rescue protocol);
+//     runtime's cancellation points and blocking waits, plus the cancel
+//     backstop that fails the job's pending operations so blocked ranks
+//     unwind;
+//   * liveness — a job whose tasks are all blocked is detected by the
+//     scheduler's per-job quiescence count and fails with a DeadlockError
+//     (Status::deadlock) without disturbing its co-tenants;
 //   * observability — each job runs with its OWN vt::Tracer, so its trace
 //     hash is computable in isolation (the soak bench's cross-tenancy
 //     determinism oracle), and its counters are published under the

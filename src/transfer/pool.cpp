@@ -24,8 +24,8 @@ void raise_high_water(std::atomic<std::size_t>& mark, std::size_t value) noexcep
 
 void StagingPool::Buffer::release() noexcept {
   // Credit the tenant for the full reserved capacity (the amount charged at
-  // acquire). Releases may run on any thread — completion callbacks, the
-  // progress driver — so the credit is just a relaxed atomic sub.
+  // acquire). Releases may run on any thread or fiber — completion
+  // callbacks, the idle task — so the credit is just a relaxed atomic sub.
   if (job_ != nullptr && !storage_.empty()) {
     job_->credit_staging(storage_.size());
   }
@@ -47,7 +47,8 @@ StagingPool::Buffer StagingPool::acquire(std::size_t bytes) {
   if (bytes == 0) return {};
   // Tenancy: charge the acquiring task's job for the reserved capacity,
   // BEFORE touching the free lists — a QuotaError then leaves the pool
-  // untouched. Standalone runs (no job) skip the whole hook.
+  // untouched. Every cluster task has a job; only a pool used outside any
+  // cluster run (a plain thread) has none to charge.
   tenant::JobControl* job = ctx::current().job;
   acquires_.fetch_add(1, std::memory_order_relaxed);
 

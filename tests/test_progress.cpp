@@ -102,9 +102,8 @@ std::array<std::uint64_t, 3> run_burst(std::size_t n) {
 TEST(ProgressCoalesce, CountFlushBoundaries) {
   ProgressConfigGuard guard;
   auto& cfg = mpi::detail::progress_config();
-  // Park the background triggers so only count/wait flushes can fire: the
-  // driver tick is pushed out past the test and the virtual horizon is huge.
-  cfg.driver_tick = std::chrono::milliseconds(60000);
+  // Park the horizon trigger so only count/wait flushes can fire: the
+  // virtual horizon is huge.
   cfg.coalesce_horizon = vt::seconds(1e6);
   const std::size_t n = cfg.coalesce_max_count;
 
@@ -135,7 +134,6 @@ TEST(ProgressCoalesce, CountFlushBoundaries) {
 TEST(ProgressCoalesce, ByteThresholdFiresBeforeCount) {
   ProgressConfigGuard guard;
   auto& cfg = mpi::detail::progress_config();
-  cfg.driver_tick = std::chrono::milliseconds(60000);
   cfg.coalesce_horizon = vt::seconds(1e6);
   cfg.coalesce_max_count = 1000;  // byte threshold must fire first
   const std::size_t msg = cfg.coalesce_max_msg;                  // 4 KiB
