@@ -52,14 +52,16 @@ bool ClusterCore::resolve_stuck() {
     }
     return rescued;
   }
-  std::string what = "communication deadlock in job " + std::to_string(job->id()) +
-                     ": every task is blocked and no operation deadline is left to expire (";
-  for (std::size_t r = 0; r < blocked_sites.size(); ++r) {
-    const char* site = blocked_sites[r].load(std::memory_order_acquire);
-    what += (r == 0 ? "rank" : "; rank") + std::to_string(r) +
-            (site != nullptr ? std::string(": blocked at ") + site : std::string(": done"));
+  // Where each of the job's tasks (ranks, then the services they started)
+  // is blocked.
+  std::string sites;
+  for (const sched::Scheduler::FiberInfo& f : scheduler->snapshot()) {
+    if (f.job != job->id() || f.blocked == nullptr) continue;
+    sites += (sites.empty() ? "" : "; ") + f.label + ": blocked at " + f.blocked;
   }
-  what += ")";
+  const std::string what = "communication deadlock in job " + std::to_string(job->id()) +
+                           ": every task is blocked and no operation deadline is left to "
+                           "expire (" + sites + ")";
   // A job that already failed has nothing left to try; the watchdog guards
   // waits that never look at the job's failure.
   if (!job->fail(std::make_exception_ptr(DeadlockError(what)))) return false;
@@ -152,35 +154,171 @@ void Rank::compute(vt::Duration d, const std::string& label) {
   }
 }
 
-RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>& body) {
+namespace detail {
+
+/// One launched cluster run, shared by its rank fibers and the caller's
+/// Handle: whichever lets go last frees it.
+struct ClusterRun {
+  Cluster::Options options;
+  std::function<void(Rank&)> body;
+  Cluster::Done done;
+  std::optional<tenant::JobControl> own_job;
+  /// CLMPI_TRACE: attached when the caller attached no tracer, so
+  /// clmpiDumpTrace and the auto-export see the run. Tracing is passive, so
+  /// the virtual schedule is identical either way.
+  vt::Tracer env_tracer;
+  ClusterCore core;  // declared after `own_job` and `env_tracer`: points at both
+  std::uint64_t run_seq{0};
+  double watchdog_s{0.0};
+  const std::chrono::steady_clock::time_point launched{std::chrono::steady_clock::now()};
+
+  std::mutex mutex;  // guards the three below
+  int remaining{0};
+  std::exception_ptr first_error;
+  int suppressed{0};
+  RunResult result;  ///< rank_end_s[r] is written by rank r alone
+
+  void rank_main(int r);
+  void finish();
+};
+
+void ClusterRun::rank_main(int r) {
+  // Tenancy: the rank task (and, via spawn_service propagation, every
+  // runtime service it starts) charges allocations to the job.
+  ctx::current().job = core.job;
+  try {
+    Rank rank(&core, r, options.nranks);
+    body(rank);
+    result.rank_end_s[static_cast<std::size_t>(r)] = rank.now_s();
+  } catch (...) {
+    {
+      std::lock_guard lock(mutex);
+      if (!first_error) {
+        first_error = std::current_exception();
+      } else {
+        // First error wins the rethrow, but secondary failures (usually the
+        // cascade the first one caused in peer ranks) must not vanish
+        // silently: count and log each one.
+        ++suppressed;
+        CLMPI_WARN("rank " << r << ": secondary error suppressed: "
+                           << describe_exception(std::current_exception()));
+        if (obs::metrics_enabled()) {
+          static auto& c = obs::Registry::instance().counter("cluster.suppressed_errors");
+          c.add();
+        }
+      }
+    }
+    // A failed rank fails the whole job: without a runtime teardown to
+    // poison them, peer ranks of a plain-MPI workload would block forever
+    // on the dead rank's messages. The cancel backstop fails the job's
+    // pending operations and blocked window and probe waits throw, so
+    // peers unwind (as secondary, suppressed CancelledErrors — the line
+    // above already recorded the real cause).
+    core.job->request_cancel();
+  }
+  {
+    std::lock_guard lock(mutex);
+    if (--remaining > 0) return;
+  }
+  finish();  // the last rank tears the cluster down
+}
+
+void ClusterRun::finish() {
+  // Join non-blocking-collective progression services before the mailboxes
+  // and network go away. They terminate once every rank has issued its side
+  // of the collective, which every rank returning guarantees for
+  // well-formed programs.
+  std::vector<sched::ServiceHandle> aux;
+  {
+    std::lock_guard lock(core.aux_mutex);
+    aux.swap(core.aux_services);
+  }
+  for (auto& s : aux) s.join();
+  // Detach the idle task; removal blocks while an idle pass is mid-flight,
+  // so the task never runs again. Then one final backstop, so no envelope
+  // is left stranded in a coalescer.
+  core.scheduler->remove_idle_task(&core);
+  core.backstop();
+  if (core.faults) result.faults = core.faults->counters();
+  // CLMPI_TRACE=<path>: auto-export the env-attached tracer as Perfetto
+  // JSON. Last run wins when a process runs several clusters — decided by
+  // run START order and serialized (see g_trace_export_mutex above).
+  if (core.tracer == &env_tracer && !obs::trace_export_path().empty()) {
+    std::lock_guard lock(g_trace_export_mutex);
+    if (run_seq > g_trace_exported_seq) {
+      g_trace_exported_seq = run_seq;
+      obs::write_trace_file(env_tracer, obs::trace_export_path());
+    }
+  }
+  if (first_error && suppressed > 0) {
+    CLMPI_WARN("cluster: suppressed " << suppressed
+                                      << " secondary rank error(s); reporting the first");
+  }
+  for (double e : result.rank_end_s) result.makespan_s = std::max(result.makespan_s, e);
+  done(std::move(result), first_error);
+}
+
+}  // namespace detail
+
+void Cluster::Handle::check_watchdog() const {
+  detail::ClusterRun& run = *run_;
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - run.launched;
+  if (run.watchdog_s <= 0.0 || elapsed.count() < run.watchdog_s) return;
+  std::lock_guard lock(run.mutex);
+  if (run.remaining == 0) return;
+  // Last-resort livelock guard: a deadlock fails typed at the job's stuck
+  // point long before this fires, so the run is busy without finishing (or
+  // blocked where no failure reaches). There is no safe way to unwind a
+  // foreign task, so dump everything we know about where each rank and
+  // service fiber is, flush the observability state, and abort.
+  std::cerr << "clmpi::mpi::Cluster watchdog: " << run.remaining << " of " << run.options.nranks
+            << " ranks still unfinished after " << run.watchdog_s
+            << "s of real time; aborting.\n";
+  for (const auto& f : run.core.scheduler->snapshot()) {
+    if (f.job != run.core.job->id()) continue;  // a co-tenant's
+    std::cerr << "  fiber " << f.label << ": " << (f.blocked != nullptr ? f.blocked : "<runnable>")
+              << "\n";
+  }
+  for (const auto& s : obs::Registry::instance().snapshot()) {
+    if (s.value != 0) std::cerr << "  metric " << s.name << " = " << s.value << "\n";
+  }
+  if (run.core.tracer != nullptr && !obs::trace_export_path().empty()) {
+    obs::write_trace_file(*run.core.tracer, obs::trace_export_path());
+    std::cerr << "  trace flushed to " << obs::trace_export_path() << "\n";
+  }
+  std::cerr.flush();
+  std::abort();
+}
+
+Cluster::Handle Cluster::launch(const Options& options, std::function<void(Rank&)> body,
+                                Done done) {
   CLMPI_REQUIRE(options.nranks > 0, "cluster needs at least one rank");
   CLMPI_REQUIRE(options.profile != nullptr, "cluster needs a system profile");
+  CLMPI_REQUIRE(options.scheduler != nullptr, "Cluster::launch needs a scheduler");
+  auto run = std::make_shared<detail::ClusterRun>();
+  run->options = options;
+  run->body = std::move(body);
+  run->done = std::move(done);
   // Every run has a job control block — a private one unless a service
   // passed its own — so a failed rank cancels its peers, and a stuck job
   // fails typed, the same way in both.
-  std::optional<tenant::JobControl> own_job;
   tenant::JobControl* job =
-      options.job != nullptr ? options.job : &own_job.emplace(0, tenant::JobQuotas{});
+      options.job != nullptr ? options.job : &run->own_job.emplace(0, tenant::JobQuotas{});
   // Rank-count quota: checked before anything is allocated, so an oversized
   // job fails typed without having touched shared state.
   job->check_ranks(options.nranks);
 
-  std::uint64_t run_seq = 0;
   {
     std::lock_guard lock(g_trace_export_mutex);
-    run_seq = ++g_trace_export_seq;
+    run->run_seq = ++g_trace_export_seq;
   }
 
-  detail::ClusterCore core;
+  detail::ClusterCore& core = run->core;
   core.profile = options.profile;
   core.tracer = options.tracer;
   core.job = job;
-  // CLMPI_TRACE: when the caller did not attach a tracer, attach an
-  // internally owned one so clmpiDumpTrace (and the optional auto-export
-  // below) see the run. Tracing is passive — it never advances a clock — so
-  // the virtual schedule is identical either way.
-  vt::Tracer env_tracer;
-  if (core.tracer == nullptr && obs::trace_enabled()) core.tracer = &env_tracer;
+  core.scheduler = options.scheduler;
+  if (core.tracer == nullptr && obs::trace_enabled()) core.tracer = &run->env_tracer;
   if (options.faults.enabled()) {
     core.faults = std::make_unique<FaultEngine>(options.faults);
   }
@@ -214,186 +352,64 @@ RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>&
     core.coalescers.emplace_back();
   }
 
-  // Per-rank blocked-site mirrors (watchdog diagnostics). Owned by the core
-  // so they outlive the rank contexts that write them.
-  for (int n = 0; n < options.nranks; ++n) core.blocked_sites.emplace_back(nullptr);
-
-  RunResult result;
-  result.rank_end_s.assign(static_cast<std::size_t>(options.nranks), 0.0);
-
-  std::mutex state_mutex;
-  std::condition_variable done_cv;
-  int remaining = options.nranks;
-  std::exception_ptr first_error;
-  int suppressed = 0;
-  std::vector<char> rank_done(static_cast<std::size_t>(options.nranks), 0);
-
-  const auto rank_main = [&](int r) {
-    ctx::current().blocked_mirror = &core.blocked_sites[static_cast<std::size_t>(r)];
-    // Tenancy: the rank task (and, via spawn_service propagation, every
-    // runtime service it starts) charges allocations to the job.
-    ctx::current().job = job;
-    log::set_thread_label("rank" + std::to_string(r));
-    try {
-      Rank rank(&core, r, options.nranks);
-      body(rank);
-      result.rank_end_s[static_cast<std::size_t>(r)] = rank.now_s();
-    } catch (...) {
-      {
-        std::lock_guard lock(state_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        } else {
-          // First error wins the rethrow, but secondary failures (usually the
-          // cascade the first one caused in peer ranks) must not vanish
-          // silently: count and log each one.
-          ++suppressed;
-          CLMPI_WARN("rank " << r << ": secondary error suppressed: "
-                             << describe_exception(std::current_exception()));
-          if (obs::metrics_enabled()) {
-            static auto& c = obs::Registry::instance().counter("cluster.suppressed_errors");
-            c.add();
-          }
-        }
-      }
-      // A failed rank fails the whole job: without a runtime teardown to
-      // poison them, peer ranks of a plain-MPI workload would block forever
-      // on the dead rank's messages. The cancel backstop fails the job's
-      // pending operations and blocked window and probe waits throw, so
-      // peers unwind (as secondary, suppressed CancelledErrors — the line
-      // above already recorded the real cause).
-      job->request_cancel();
-    }
-    {
-      // Notify under the lock: once `remaining` reads 0, Cluster::run may
-      // return and destroy `done_cv`, so it must not be touched after the
-      // unlock.
-      std::lock_guard lock(state_mutex);
-      rank_done[static_cast<std::size_t>(r)] = 1;
-      --remaining;
-      done_cv.notify_all();
-    }
-  };
-
-  // Ranks run as fibers: job-tagged on a shared service scheduler, job 0 on
-  // a private one. The idle task is the job's liveness backstop: it runs
-  // only after a quiet round of the job's turns, inside the turn, so batch
-  // composition and every rescue stay a function of the cooperative
-  // schedule rather than of real time. It is registered for exactly the
-  // run's lifetime; `&core` keys its removal.
-  std::optional<sched::Scheduler> scheduler;
-  sched::Scheduler* external = options.scheduler;
-  sched::Scheduler* fibers =
-      external != nullptr ? external : &scheduler.emplace(sched::Scheduler::Options{});
-  const std::uint64_t job_tag = external != nullptr ? options.job_tag : 0;
-  fibers->add_idle_task(&core, job_tag, [&core](bool stuck) { return core.on_quiet(stuck); });
-  {
-    // One batch, so on a running service scheduler no rank takes a turn
-    // before its peers are queued.
-    const std::string tag =
-        external != nullptr ? "job" + std::to_string(job_tag) + ".rank" : "rank";
-    std::vector<sched::Scheduler::Task> ranks;
-    for (int r = 0; r < options.nranks; ++r) {
-      ranks.push_back({[&rank_main, r] { rank_main(r); }, tag + std::to_string(r)});
-    }
-    fibers->spawn(std::move(ranks), job_tag);
-  }
-  if (scheduler) scheduler->start();
-
-  if (options.watchdog_seconds > 0.0) {
-    double watchdog_s = options.watchdog_seconds;
+  run->remaining = options.nranks;
+  run->result.rank_end_s.assign(static_cast<std::size_t>(options.nranks), 0.0);
+  run->watchdog_s = options.watchdog_seconds;
 #ifdef CLMPI_SANITIZE_BUILD
-    // Sanitizer instrumentation slows the simulated ranks several-fold;
-    // scale the deadlock watchdog so sanitize runs are not shot while
-    // merely slow.
-    watchdog_s *= 4.0;
+  // Sanitizer instrumentation slows the simulated ranks several-fold; scale
+  // the watchdog so sanitize runs are not shot while merely slow.
+  run->watchdog_s *= 4.0;
 #endif
-    std::unique_lock lock(state_mutex);
-    const bool finished =
-        done_cv.wait_for(lock, std::chrono::duration<double>(watchdog_s),
-                         [&] { return remaining == 0; });
-    if (!finished) {
-      // Last-resort livelock guard: a deadlock fails typed at the job's
-      // stuck point long before this fires, so the run is busy without
-      // finishing (or blocked where no failure reaches). There is no safe
-      // way to unwind a foreign task, so dump everything we know about
-      // where each rank is, flush the observability state, and abort.
-      std::cerr << "clmpi::mpi::Cluster watchdog: " << remaining << " of " << options.nranks
-                << " ranks still unfinished after " << watchdog_s
-                << "s of real time; aborting.\n";
-      for (int r = 0; r < options.nranks; ++r) {
-        if (rank_done[static_cast<std::size_t>(r)]) continue;
-        const char* site =
-            core.blocked_sites[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
-        std::cerr << "  rank" << r << ": blocked at "
-                  << (site != nullptr ? site : "<running or unknown>") << "\n";
-      }
-      for (const auto& f : fibers->snapshot()) {
-        // On a shared service scheduler, only this job's fibers are ours to
-        // report.
-        if (f.job != job_tag) continue;
-        std::cerr << "  fiber " << f.label << ": "
-                  << (f.blocked != nullptr ? f.blocked : "<runnable>") << "\n";
-      }
-      for (const auto& s : obs::Registry::instance().snapshot()) {
-        if (s.value != 0) std::cerr << "  metric " << s.name << " = " << s.value << "\n";
-      }
-      if (core.tracer != nullptr && !obs::trace_export_path().empty()) {
-        obs::write_trace_file(*core.tracer, obs::trace_export_path());
-        std::cerr << "  trace flushed to " << obs::trace_export_path() << "\n";
-      }
-      std::cerr.flush();
-      std::abort();
-    }
-  }
 
-  if (external != nullptr) {
-    // Shared scheduler: other jobs' fibers keep it busy, so "join" for this
-    // job means waiting for its own ranks (the aux-service joins below cover
-    // the service fibers they spawned).
-    std::unique_lock lock(state_mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  } else {
-    // Waits for every fiber — ranks and the service fibers they spawned
-    // (queue workers, dispatchers, collective progression) — then joins the
-    // worker pool.
-    scheduler->join();
+  // Ranks run as fibers tagged with the job's id. The idle task is the
+  // job's liveness backstop: it runs only after a quiet round of the job's
+  // turns, inside the turn, so batch composition and every rescue stay a
+  // function of the cooperative schedule rather than of real time. It is
+  // registered until finish(); `&core` keys its removal.
+  core.scheduler->add_idle_task(&core, job->id(),
+                                [&core](bool stuck) { return core.on_quiet(stuck); });
+  // One batch, so on a running service scheduler no rank takes a turn
+  // before its peers are queued.
+  std::vector<sched::Scheduler::Task> ranks;
+  for (int r = 0; r < options.nranks; ++r) {
+    ranks.push_back({[run, r] { run->rank_main(r); }, "rank" + std::to_string(r)});
   }
-  // Join non-blocking-collective progression services before the mailboxes
-  // and network (owned by `core`) go away. They terminate once every rank
-  // has issued its side of the collective, which the rank joins above
-  // guarantee for well-formed programs.
+  core.scheduler->spawn(std::move(ranks), job->id());
+  Handle handle;
+  handle.run_ = std::move(run);
+  return handle;
+}
+
+RunResult Cluster::run(const Options& options, const std::function<void(Rank&)>& body) {
+  std::optional<sched::Scheduler> own;
+  Options launched = options;
+  if (launched.scheduler == nullptr) launched.scheduler = &own.emplace(sched::Scheduler::Options{});
+
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  std::optional<RunResult> result;
+  std::exception_ptr error;
+  const Handle handle =
+      launch(launched, [&body](Rank& rank) { body(rank); },
+             [&](RunResult r, std::exception_ptr e) {
+               // Notify under the lock: once `result` is set this function
+               // may return and destroy `done_cv`.
+               std::lock_guard lock(mutex);
+               result = std::move(r);
+               error = std::move(e);
+               done_cv.notify_all();
+             });
+  if (own) own->start();
   {
-    std::lock_guard lock(core.aux_mutex);
-    for (auto& s : core.aux_services) s.join();
-  }
-  // Detach the idle task before `core` is torn down; removal blocks while an
-  // idle pass is mid-flight, so the task never touches a dead core. Then
-  // one final backstop, so no envelope is left stranded in a coalescer.
-  fibers->remove_idle_task(&core);
-  core.backstop();
-  if (core.faults) result.faults = core.faults->counters();
-  // CLMPI_TRACE=<path>: auto-export the env-attached tracer as Perfetto
-  // JSON. Last run wins when a process runs several clusters — decided by
-  // run START order and serialized (see g_trace_export_mutex above).
-  if (core.tracer == &env_tracer && !obs::trace_export_path().empty()) {
-    std::lock_guard lock(g_trace_export_mutex);
-    if (run_seq > g_trace_exported_seq) {
-      g_trace_exported_seq = run_seq;
-      obs::write_trace_file(env_tracer, obs::trace_export_path());
+    std::unique_lock lock(mutex);
+    while (!done_cv.wait_for(lock, std::chrono::milliseconds(5),
+                             [&] { return result.has_value(); })) {
+      handle.check_watchdog();
     }
   }
-  if (first_error) {
-    if (suppressed > 0) {
-      CLMPI_WARN("cluster: suppressed " << suppressed
-                                        << " secondary rank error(s); rethrowing the first");
-    }
-    std::rethrow_exception(first_error);
-  }
-
-  result.makespan_s = 0.0;
-  for (double e : result.rank_end_s) result.makespan_s = std::max(result.makespan_s, e);
-  return result;
+  if (own) own->join();
+  if (error) std::rethrow_exception(error);
+  return std::move(*result);
 }
 
 }  // namespace clmpi::mpi

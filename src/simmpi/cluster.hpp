@@ -1,15 +1,16 @@
 // Cluster: the top-level runner of the simulated machine.
 //
-// Cluster::run spawns one fiber per MPI rank (one rank per node, as in the
-// paper's evaluation) on the cooperative scheduler (support/sched.hpp),
-// executes the supplied body on each, and reports per-rank virtual end
-// times. A real-time watchdog converts accidental communication deadlocks
-// (which block the ranks forever, exactly as they would block real MPI
-// processes) into a diagnosed abort instead of a hang.
+// Cluster::launch spawns one fiber per MPI rank (one rank per node, as in
+// the paper's evaluation) on the cooperative scheduler (support/sched.hpp),
+// runs the supplied body on each, and hands per-rank virtual end times to a
+// completion callback; Cluster::run is launch plus a blocking wait. A
+// real-time watchdog turns a livelock into a diagnosed abort, not a hang.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@ namespace clmpi::mpi {
 
 namespace detail {
 struct ClusterCore;
+struct ClusterRun;
 }
 
 /// Per-rank execution context handed to the user body.
@@ -89,24 +91,44 @@ class Cluster {
     FaultPlan faults{};
 
     // --- service (multi-tenant) mode — set by svc::Service ---------------
-    /// Run rank fibers on this external persistent scheduler instead of
-    /// creating a private one. The scheduler must already be started and
-    /// outlive the run.
+    /// Run rank fibers on this external scheduler instead of creating a
+    /// private one. It must outlive the run; launch() needs it, run()
+    /// creates a private one when it is null.
     sched::Scheduler* scheduler{nullptr};
-    /// Tenancy tag for fibers spawned onto the external scheduler (the
-    /// fair-pick round robin keys on it). Meaningful only with `scheduler`.
-    std::uint64_t job_tag{0};
     /// Quota/cancellation control block of a service job; must outlive the
-    /// run. Null makes the run use a private, unlimited one, so cancellation
-    /// and deadlock failure work the same either way.
+    /// run. Its id is the fibers' job tag (the fair-pick round robin keys
+    /// on it). Null makes the run use a private, unlimited one with id 0,
+    /// so cancellation and deadlock failure work the same either way.
     tenant::JobControl* job{nullptr};
   };
 
-  /// Run `body` on every rank; blocks until all ranks return. The first
+  /// Completion callback: the result, and the first exception a rank threw.
+  using Done = std::function<void(RunResult, std::exception_ptr)>;
+
+  /// A launched run; dropping it does not stop the run.
+  class Handle {
+   public:
+    /// The watchdog: once the run is unfinished Options::watchdog_seconds
+    /// after launch, print where every unfinished rank and fiber is
+    /// blocked, flush the observability state, and abort the process.
+    void check_watchdog() const;
+
+   private:
+    friend class Cluster;
+    std::shared_ptr<detail::ClusterRun> run_;
+  };
+
+  /// Start `body` on every rank of a new cluster on `options.scheduler`
+  /// (required) and return at once; throws, without calling `done`, when
+  /// the run cannot start. The last rank to finish tears the cluster down
+  /// and calls `done` on its fiber, so `done` must not block. A rank's
+  /// failure cancels the job, so its peers' blocked operations fail
+  /// (CancelledError) instead of hanging; a job whose ranks all block with
+  /// no deadline left to expire fails with a DeadlockError.
+  static Handle launch(const Options& options, std::function<void(Rank&)> body, Done done);
+
+  /// launch() and block until `done`, under the watchdog. The first
   /// exception thrown by any rank is re-thrown here after all ranks finish.
-  /// A rank's failure cancels the job, so its peers' blocked operations
-  /// fail (CancelledError) instead of hanging; a job whose ranks all block
-  /// with no deadline left to expire fails with a DeadlockError.
   static RunResult run(const Options& options, const std::function<void(Rank&)>& body);
 };
 

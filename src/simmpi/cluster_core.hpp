@@ -32,6 +32,8 @@ struct ClusterCore {
   /// cancellation points and blocking waits, and enforced on pending
   /// operations via fail_pending_as_cancelled.
   tenant::JobControl* job{nullptr};
+  /// The scheduler the run's fibers are tagged `job->id()` on.
+  sched::Scheduler* scheduler{nullptr};
   /// Fault oracle; null unless Cluster::Options::faults is enabled. Must
   /// outlive `network`, which holds a raw pointer to it.
   std::unique_ptr<FaultEngine> faults;
@@ -59,7 +61,7 @@ struct ClusterCore {
   /// deadline at that deadline (progress.rescued_waits counts each), so
   /// whatever their waiters do next runs before any later deadline is
   /// judged; with no deadline left, fail the job with a DeadlockError that
-  /// lists each rank's blocked site. Returns whether it resolved anything.
+  /// lists where each of its unfinished fibers is blocked. Returns whether it resolved anything.
   bool resolve_stuck();
 
   /// RMA window-creation rendezvous slots, keyed (context << 32) | win_seq.
@@ -70,8 +72,8 @@ struct ClusterCore {
 
   /// Auxiliary runtime services (non-blocking collective progression), run
   /// as fibers of the cluster's scheduler. Registered
-  /// here so Cluster::run joins them before tearing the cluster down — a
-  /// progression task must never outlive the mailboxes.
+  /// here so the run's teardown joins them before tearing the cluster down —
+  /// a progression task must never outlive the mailboxes.
   std::mutex aux_mutex;
   std::vector<sched::ServiceHandle> aux_services;
 
@@ -79,14 +81,6 @@ struct ClusterCore {
     std::lock_guard lock(aux_mutex);
     aux_services.push_back(std::move(s));
   }
-
-  /// Per-rank blocked-site mirrors for deadlock and watchdog diagnostics.
-  /// Sized by Cluster::run before ranks start; each rank's execution
-  /// context mirrors its current blocked site here (ctx::BlockedScope), so
-  /// both can report where every rank is stuck even after rank contexts are
-  /// gone.
-  /// deque: atomics are immovable.
-  std::deque<std::atomic<const char*>> blocked_sites;
 
   /// Pending-operation registry. Every point-to-point operation registers
   /// its request state at post time, so the backstop can fail a cancelled

@@ -260,8 +260,8 @@ Request Comm::spawn_collective(vt::Clock& clock,
   auto state = detail::make_request_state();
   const vt::TimePoint start = clock.now();
   // The progression task (a fiber of the cluster's scheduler) works on its
-  // own Comm copy and private clock, starting at the issue time.
-  // Cluster::run joins it before tear-down.
+  // own Comm copy and private clock, starting at the issue time. The
+  // run's teardown joins it before the cluster goes away.
   core_->register_aux_service(sched::spawn_service(
       "coll-progress", [state, self = *this, start, body = std::move(body)]() mutable {
         vt::Clock private_clock(start);

@@ -49,19 +49,15 @@ class ExecContext {
 
   /// The blocking site this task is currently parked in (a string literal;
   /// nullptr while running). Written by ctx::BlockedScope, read by the
-  /// watchdog via the scheduler's fiber snapshot.
+  /// watchdog and the deadlock report via the scheduler's fiber snapshot.
   std::atomic<const char*> blocked{nullptr};
-  /// Optional mirror slot owned by the cluster (one per rank, outliving the
-  /// context), so the watchdog can dump per-RANK sites in both scheduler
-  /// modes without touching a possibly-dead rank's context.
-  std::atomic<const char*>* blocked_mirror{nullptr};
   /// BlockedScopes this task has entered. Read by the scheduler after the
   /// task yields: the same count as at its previous yield means the task
   /// re-polled the wait it was already in and found it still false.
   std::uint64_t blocked_seq{0};
 
-  /// The service job this task runs under; null for standalone runs. Set by
-  /// the cluster launcher on rank tasks and propagated by spawn_service to
+  /// The job this task runs under; null outside any cluster. Set by the
+  /// cluster launcher on rank tasks and propagated by spawn_service to
   /// the runtime services a rank starts. Allocation layers below the cluster
   /// (the staging pool) read it to charge quotas to the right tenant.
   tenant::JobControl* job{nullptr};
@@ -92,23 +88,14 @@ ExecContext& current() noexcept;
 void set_current(ExecContext* c) noexcept;
 
 /// RAII publication of a blocking site ("mpi.request.wait", ...). `site`
-/// must be a string literal (or otherwise immortal). Publishes to both the
-/// context's own slot and the cluster-owned mirror, if installed.
+/// must be a string literal (or otherwise immortal).
 class BlockedScope {
  public:
   explicit BlockedScope(const char* site) noexcept : ctx_(&current()) {
     ++ctx_->blocked_seq;
     ctx_->blocked.store(site, std::memory_order_relaxed);
-    if (ctx_->blocked_mirror != nullptr) {
-      ctx_->blocked_mirror->store(site, std::memory_order_relaxed);
-    }
   }
-  ~BlockedScope() {
-    ctx_->blocked.store(nullptr, std::memory_order_relaxed);
-    if (ctx_->blocked_mirror != nullptr) {
-      ctx_->blocked_mirror->store(nullptr, std::memory_order_relaxed);
-    }
-  }
+  ~BlockedScope() { ctx_->blocked.store(nullptr, std::memory_order_relaxed); }
   BlockedScope(const BlockedScope&) = delete;
   BlockedScope& operator=(const BlockedScope&) = delete;
 

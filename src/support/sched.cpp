@@ -142,11 +142,12 @@ struct Scheduler::Impl {
   std::atomic<int> live{0};
   std::vector<std::thread> workers;
   bool started{false};
-  std::atomic<bool> stopping{false};
+  bool stopping{false};  ///< join() called; guarded by `mutex`
 
   // `turn_cv` wakes an idle worker when a worker hands a job's turn on
-  // before running an offloaded body; `offload_done_cv` wakes offloaders
-  // waiting for their body to finish (both under `mutex`).
+  // before running an offloaded body, and every idle worker when join()
+  // begins or the last fiber of a joining pool retires; `offload_done_cv`
+  // wakes offloaders waiting for their body to finish (both under `mutex`).
   std::condition_variable turn_cv;
   std::condition_variable offload_done_cv;
 
@@ -338,16 +339,17 @@ void Scheduler::Impl::retire(Fiber* f) {
   f->stack_base = nullptr;
   f->ctx.clear_slots();
   {
-    // Drop the Fiber record itself: a persistent scheduler hosts thousands
-    // of short jobs over its life and must not accumulate their corpses.
+    // Drop the Fiber record itself: a service pool hosts thousands of short
+    // jobs over its life and must not accumulate their corpses.
     std::lock_guard lock(mutex);
     Job& j = jobs.find(f->job)->second;
     --j.live;
     j.restart_round();
     release_turn(f->job, j);
     std::erase_if(all, [f](const std::unique_ptr<Fiber>& p) { return p.get() == f; });
+    if (live.fetch_sub(1, std::memory_order_acq_rel) != 1 || !stopping) return;
   }
-  live.fetch_sub(1, std::memory_order_acq_rel);
+  turn_cv.notify_all();  // join() began: the idle workers may exit now
 }
 
 void Scheduler::Impl::offload(const std::function<void()>& fn) {
@@ -383,22 +385,20 @@ void Scheduler::Impl::worker_loop(int index) {
     {
       std::unique_lock lock(mutex);
       f = pop_ready();
-      if (f == nullptr && live.load(std::memory_order_acquire) != 0) {
+      if (f == nullptr) {
+        const bool idle = live.load(std::memory_order_acquire) == 0;
+        if (idle && stopping) return;
         // Every runnable fiber belongs to a job whose turn is taken (or a
         // spawn is in flight): wait briefly for a turn to be handed on
-        // rather than hammer the queue lock.
-        turn_cv.wait_for(lock, std::chrono::microseconds(50), [&] { return !rotation.empty(); });
+        // rather than hammer the queue lock. With no fiber live, nap until
+        // the next spawn or until join() wakes the pool to exit.
+        turn_cv.wait_for(lock, std::chrono::microseconds(idle ? 200 : 50), [&] {
+          return !rotation.empty() || (stopping && live.load(std::memory_order_acquire) == 0);
+        });
         f = pop_ready();
       }
     }
-    if (f == nullptr) {
-      if (live.load(std::memory_order_acquire) == 0) {
-        if (!opts.persistent || stopping.load(std::memory_order_acquire)) return;
-        // Persistent pool between jobs: nothing to run until a submit.
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      continue;
-    }
+    if (f == nullptr) continue;
     resume(f);
     if (f->finished.load(std::memory_order_acquire)) {
       retire(f);
@@ -468,10 +468,7 @@ Scheduler::Scheduler(Options options) : impl_(std::make_unique<Impl>()) {
                             std::size_t{64} << 10);
 }
 
-Scheduler::~Scheduler() {
-  stop();
-  join();
-}
+Scheduler::~Scheduler() { join(); }
 
 void Scheduler::spawn(std::function<void()> fn, std::string label, std::uint64_t job) {
   std::vector<std::unique_ptr<Fiber>> one;
@@ -501,23 +498,22 @@ void Scheduler::remove_idle_task(const void* token) {
 void Scheduler::start() {
   CLMPI_REQUIRE(!impl_->started, "scheduler started twice");
   impl_->started = true;
-  const int configured = impl_->opts.workers > 0 ? impl_->opts.workers : default_workers();
-  int n = configured;
-  if (!impl_->opts.persistent) {
-    // One-shot mode: no point in more workers than fibers.
-    const int tasks = std::max(1, impl_->live.load(std::memory_order_relaxed));
-    n = std::clamp(configured, 1, tasks);
-  }
-  n = std::max(1, n);
+  int n = std::max(1, impl_->opts.workers > 0 ? impl_->opts.workers : default_workers());
+  // A one-shot run's fibers are all queued: no point in more workers.
+  const int queued = impl_->live.load(std::memory_order_relaxed);
+  if (queued > 0) n = std::min(n, queued);
   impl_->workers.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     impl_->workers.emplace_back([this, i] { impl_->worker_loop(i); });
   }
 }
 
-void Scheduler::stop() { impl_->stopping.store(true, std::memory_order_release); }
-
 void Scheduler::join() {
+  {
+    std::lock_guard lock(impl_->mutex);
+    impl_->stopping = true;
+  }
+  impl_->turn_cv.notify_all();
   for (auto& w : impl_->workers) {
     if (w.joinable()) w.join();
   }

@@ -1,6 +1,6 @@
 // Cooperative rank scheduler: stackful fibers over a small worker pool.
 //
-// Every mpi::Cluster::run launches its ranks here: each rank body runs as a
+// Every mpi::Cluster::launch spawns its ranks here: each rank body runs as a
 // resumable ucontext fiber, multiplexed over `CLMPI_FIBER_WORKERS` OS
 // threads (default: hardware concurrency), so the paper's 100-node runs and
 // the 1000-rank scaling benches fit in a small pool. Every blocking point in
@@ -26,7 +26,7 @@
 // still false and it did nothing else), or from a raw yield(). When one
 // full round of a job's turns — every live fiber of the job resumed once —
 // was quiet and no offload body of the job is in flight, the job's idle
-// task runs inside its turn (Cluster::run registers the backstop that
+// task runs inside its turn (Cluster::launch registers the backstop that
 // flushes queued sends, drains completions and fails a cancelled job's
 // operations). If every fiber of that round was inside a ctx::BlockedScope
 // and the task found nothing to do, the job is *stuck*: nothing inside it
@@ -141,9 +141,10 @@ class ServiceHandle {
 /// Spawn `fn` as a service task labelled `label` (becomes its log label).
 ServiceHandle spawn_service(std::string label, std::function<void()> fn);
 
-/// The fiber scheduler backing one standalone Cluster::run — or, in
-/// persistent mode, the process-wide worker pool a svc::Service multiplexes
-/// MANY concurrent cluster runs (jobs) onto.
+/// The fiber scheduler backing one standalone Cluster::run, or the
+/// long-lived worker pool a svc::Service multiplexes MANY concurrent cluster
+/// runs (jobs) onto. Both use one lifecycle: spawn (before or after start),
+/// start(), then join(), which the destructor calls.
 ///
 /// Multi-tenancy: every fiber carries a job tag (0 = untagged). The ready
 /// structure is one FIFO deque per job plus a round-robin rotation across
@@ -164,17 +165,10 @@ class Scheduler {
     /// Per-fiber stack bytes; 0 = CLMPI_FIBER_STACK_KB or the built-in
     /// default (256 KiB, 1 MiB under sanitizer builds).
     std::size_t stack_bytes{0};
-    /// Persistent (service) mode: workers idle when no fibers are live
-    /// instead of exiting, so jobs can keep arriving; stop() begins the
-    /// shutdown and join() then waits for the drain. start() sizes the pool
-    /// from `workers` alone (there may be zero fibers yet).
-    bool persistent{false};
   };
 
   explicit Scheduler(Options options);
-  /// Joins the workers; every fiber must have finished (Cluster::run joins
-  /// via join() on the success path and aborts via the watchdog otherwise).
-  /// A persistent scheduler is stopped first.
+  /// join().
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -186,16 +180,18 @@ class Scheduler {
   void spawn(std::function<void()> fn, std::string label, std::uint64_t job = 0);
 
   /// Queue one fiber per task under job tag `job`, in order, as one batch:
-  /// none of them runs before all are queued, so on a running (persistent)
-  /// scheduler the job's first turns do not depend on how fast the workers
-  /// pick up the first fibers.
+  /// none of them runs before all are queued, so on a running scheduler the
+  /// job's first turns do not depend on how fast the workers pick them up.
   struct Task {
     std::function<void()> fn;
     std::string label;
   };
   void spawn(std::vector<Task> tasks, std::uint64_t job = 0);
 
-  /// Launch the worker pool. Call once, after the initial spawns.
+  /// Launch the worker pool. Call once. With fibers already queued (a
+  /// one-shot run) the pool has no more workers than fibers; started empty
+  /// (a service pool) it has `workers`. Workers idle while no fiber is live,
+  /// so fibers may keep arriving until join().
   void start();
 
   /// Register / remove job `job`'s idle task, keyed by `token` (each
@@ -211,13 +207,9 @@ class Scheduler {
   void add_idle_task(const void* token, std::uint64_t job, std::function<bool(bool stuck)> task);
   void remove_idle_task(const void* token);
 
-  /// Persistent mode: stop admitting idle waits — workers exit once no fiber
-  /// is live. Call before join() (the destructor does both). No-op in
-  /// one-shot mode.
-  void stop();
-
-  /// Block until every fiber (including ones spawned mid-run) finished, then
-  /// join the workers.
+  /// Stop idling: workers exit once no fiber is live. Blocks until every
+  /// fiber (including ones spawned while draining) finished, then joins the
+  /// workers. Must not be called from one of this scheduler's fibers.
   void join();
 
   /// Diagnostic snapshot of every unfinished fiber: (label, blocked site or

@@ -4,13 +4,17 @@
 // This is the ROADMAP's "millions of users" step: instead of one
 // Cluster::run per process, a Service owns
 //
-//   * one persistent fiber-scheduler worker pool (support/sched.hpp) that
-//     every job's rank fibers share, scheduled by the deterministic per-job
-//     round robin (job-tagged fibers, fair pick),
+//   * one fiber-scheduler worker pool (support/sched.hpp) that every job's
+//     rank fibers share, scheduled by the deterministic per-job round robin
+//     (job-tagged fibers, fair pick),
 //   * a bounded admission queue with typed rejection (Status::rejected),
-//   * a small set of runner threads (`max_active`) that dequeue jobs and
-//     drive Cluster::run in service mode (external scheduler + JobControl),
-//   * a wall-clock deadline monitor that cancels overdue jobs.
+//   * at most `max_active` running jobs, each a Cluster::launch on the pool:
+//     submit() launches a job while a slot is free, and a finishing job's
+//     completion callback (on a pool fiber) launches the next queued one,
+//   * a monitor thread that cancels overdue jobs and enforces the per-job
+//     watchdog.
+//
+// The pool's workers and the monitor are the service's only OS threads.
 //
 // Isolation story, per job:
 //   * quotas — staging-pool bytes, mailbox depth, max ranks — enforced at
@@ -34,13 +38,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "simmpi/cluster.hpp"
 #include "support/error.hpp"
 #include "support/sched.hpp"
 #include "support/tenant.hpp"
@@ -59,8 +65,8 @@ enum class JobKind {
 const char* to_string(JobKind k) noexcept;
 
 enum class JobState {
-  queued,     ///< admitted, waiting for a runner
-  running,    ///< a runner is driving its cluster
+  queued,     ///< admitted, waiting for a free slot
+  running,    ///< its cluster is launched on the pool
   succeeded,  ///< cluster run returned normally
   failed,     ///< cluster run threw (quota, fault, programming error)
   cancelled,  ///< explicit cancel or deadline fired before completion
@@ -104,7 +110,7 @@ class Service {
     /// Admission control: max jobs waiting in the queue (running jobs do
     /// not count). Submits beyond it fail with RejectedError.
     std::size_t queue_limit{64};
-    /// Runner threads = max jobs whose clusters run concurrently.
+    /// Max jobs whose clusters run concurrently.
     std::size_t max_active{4};
     /// Per-job cluster watchdog (deadlock abort), seconds; 0 disables.
     double watchdog_seconds{120.0};
@@ -112,7 +118,7 @@ class Service {
 
   explicit Service(Options options);
   /// Drains: every admitted job still runs to a terminal state, then the
-  /// runners, the deadline monitor and the shared pool shut down.
+  /// shared pool and the monitor shut down.
   ~Service();
 
   Service(const Service&) = delete;
@@ -157,26 +163,33 @@ class Service {
     vt::Tracer tracer;  ///< the job's own trace namespace
     JobResult result;
     std::chrono::steady_clock::time_point submitted{};
-    std::chrono::steady_clock::time_point started{};
-    bool deadline_armed{false};
-    std::chrono::steady_clock::time_point deadline{};
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+    std::optional<mpi::Cluster::Handle> cluster;  ///< set while running
 
     JobRecord(std::uint64_t job_id, JobSpec s)
         : id(job_id), spec(std::move(s)), control(job_id, spec.quotas) {}
   };
 
-  void runner_loop(int index);
+  // The three below require `mutex_` held.
+  /// Launch queued jobs while a slot is free (unlocks around each launch).
+  void launch_queued(std::unique_lock<std::mutex>& lock);
+  /// Record a job's terminal result from the first error of its run (null:
+  /// it succeeded — completion beats a cancel that raced it), publish its
+  /// counters and wake its waiters.
+  void finalize(JobRecord& rec, const std::exception_ptr& error, double makespan_s);
+  /// Finalize a queued job as cancelled, without ever launching it.
+  void cancel_queued(const std::shared_ptr<JobRecord>& rec);
+  /// A launched job's completion callback, on the pool fiber of its last rank.
+  void on_done(const std::shared_ptr<JobRecord>& rec, const mpi::RunResult& run,
+               const std::exception_ptr& error);
   void monitor_loop();
-  void run_job(const std::shared_ptr<JobRecord>& rec);
-  void publish_metrics(const JobRecord& rec);
   std::shared_ptr<JobRecord> find(std::uint64_t id);
 
   Options opts_;
-  sched::Scheduler pool_;
+  sched::Scheduler pool_;  ///< joined explicitly in ~Service, before the members below die
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;          ///< runner wakeups (queue + shutdown)
-  std::condition_variable monitor_cv_;  ///< deadline-monitor pacing
+  std::condition_variable monitor_cv_;  ///< monitor pacing and shutdown
   std::condition_variable state_cv_;    ///< job state transitions (wait())
   bool stopping_{false};
   std::uint64_t submitted_{0};
@@ -185,7 +198,6 @@ class Service {
   std::deque<std::shared_ptr<JobRecord>> queue_;
   std::map<std::uint64_t, std::shared_ptr<JobRecord>> jobs_;
 
-  std::vector<std::thread> runners_;
   std::thread monitor_;
 };
 

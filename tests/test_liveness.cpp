@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <iterator>
 #include <optional>
@@ -261,7 +262,7 @@ TEST(LivenessTenancy, DeadlockedJobFailsWhileCoTenantComputes) {
   const mpi::RunResult solo_r =
       mpi::Cluster::run(solo, [&](mpi::Rank& rank) { busy_ring(rank, released); });
 
-  sched::Scheduler pool(sched::Scheduler::Options{.workers = 2, .persistent = true});
+  sched::Scheduler pool(sched::Scheduler::Options{.workers = 2});
   pool.start();
   tenant::JobControl busy_job(1, tenant::JobQuotas{});
   tenant::JobControl stuck_job(2, tenant::JobQuotas{});
@@ -273,16 +274,18 @@ TEST(LivenessTenancy, DeadlockedJobFailsWhileCoTenantComputes) {
   mpi::Cluster::Options busy = opts(kBusyRanks);
   busy.tracer = &busy_tracer;
   busy.scheduler = &pool;
-  busy.job_tag = 1;
   busy.job = &busy_job;
   std::optional<mpi::RunResult> busy_r;
-  std::thread busy_runner([&] {
-    busy_r = mpi::Cluster::run(busy, [&](mpi::Rank& rank) { busy_ring(rank, stuck_over); });
-  });
+  std::exception_ptr busy_error;
+  mpi::Cluster::launch(
+      busy, [&](mpi::Rank& rank) { busy_ring(rank, stuck_over); },
+      [&](mpi::RunResult r, std::exception_ptr e) {
+        busy_r = std::move(r);
+        busy_error = std::move(e);
+      });
 
   mpi::Cluster::Options stuck = opts(2);
   stuck.scheduler = &pool;
-  stuck.job_tag = 2;
   stuck.job = &stuck_job;
   try {
     mpi::Cluster::run(stuck, [](mpi::Rank& rank) {
@@ -294,13 +297,12 @@ TEST(LivenessTenancy, DeadlockedJobFailsWhileCoTenantComputes) {
     stuck_what = e.what();
   }
   stuck_over.store(true, std::memory_order_release);
-  busy_runner.join();
-  pool.stop();
   pool.join();
 
   ASSERT_TRUE(stuck_status.has_value()) << "the deadlocked job returned normally";
   EXPECT_EQ(*stuck_status, Status::deadlock) << stuck_what;
   EXPECT_FALSE(busy_job.cancel_requested());
+  EXPECT_FALSE(busy_error);
   ASSERT_TRUE(busy_r.has_value());
   EXPECT_EQ(busy_tracer.hash(), solo_tracer.hash());
   EXPECT_DOUBLE_EQ(busy_r->makespan_s, solo_r.makespan_s);

@@ -360,7 +360,7 @@ TEST(SchedTurn, OneFiberPerJobAtATime) {
 TEST(SchedTurn, BatchedJobStartsInFifoRounds) {
   // A job queued as one batch on an already running pool takes its turns
   // in batch order: every fiber's first turn comes before any second one.
-  sched::Scheduler scheduler(sched::Scheduler::Options{.workers = 2, .persistent = true});
+  sched::Scheduler scheduler(sched::Scheduler::Options{.workers = 2});
   scheduler.start();
   constexpr int kFibers = 8;
   constexpr int kTurns = 3;
@@ -383,7 +383,6 @@ TEST(SchedTurn, BatchedJobStartsInFifoRounds) {
   }
   scheduler.spawn(std::move(tasks), /*job=*/3);
   while (done.load() < kFibers) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  scheduler.stop();
   scheduler.join();
   std::vector<int> expected;
   for (int turn = 0; turn < kTurns; ++turn) {

@@ -274,6 +274,62 @@ TEST(Service, DeadlineCancelsOverdueJob) {
   EXPECT_EQ(r.status, Status::cancelled);
 }
 
+/// A job that keeps its slot far longer than any cancel or deadline latency.
+svc::JobSpec slot_hog() {
+  svc::JobSpec spec;
+  spec.kind = svc::JobKind::chaos;
+  spec.nranks = 2;
+  spec.iterations = 200000;
+  return spec;
+}
+
+TEST(Service, CancelQueuedJobWhileSlotsBusy) {
+  // A queued job is finalized by the cancel itself, not when a slot frees.
+  svc::Service service(small_service(1));
+  const std::uint64_t running = service.submit(slot_hog());
+  const std::uint64_t queued = service.submit(halo_spec());
+  ASSERT_EQ(service.counters(queued).state, svc::JobState::queued);
+  EXPECT_TRUE(service.cancel(queued));
+  const svc::JobResult r = service.wait(queued);
+  EXPECT_EQ(r.state, svc::JobState::cancelled) << r.error;
+  EXPECT_EQ(r.status, Status::cancelled);
+  EXPECT_EQ(service.counters(running).state, svc::JobState::running);
+  service.cancel(running);
+  EXPECT_EQ(service.wait(running).state, svc::JobState::cancelled);
+}
+
+TEST(Service, DeadlineExpiresQueuedJobWhileSlotsBusy) {
+  // The monitor finalizes an overdue queued job without waiting for a slot.
+  svc::Service service(small_service(1));
+  const std::uint64_t running = service.submit(slot_hog());
+  svc::JobSpec overdue = halo_spec();
+  overdue.deadline_s = 0.05;
+  const std::uint64_t queued = service.submit(overdue);
+  const svc::JobResult r = service.wait(queued);
+  EXPECT_EQ(r.state, svc::JobState::cancelled) << r.error;
+  EXPECT_EQ(r.status, Status::cancelled);
+  EXPECT_EQ(service.counters(running).state, svc::JobState::running);
+  service.cancel(running);
+  EXPECT_EQ(service.wait(running).state, svc::JobState::cancelled);
+}
+
+TEST(Service, DestructorDrainsQueuedJobs) {
+  // Destroying a service with jobs still queued runs every one of them to
+  // completion first; their completion callbacks race the destructor.
+  constexpr std::size_t kActive = 2;
+  std::vector<std::uint64_t> ids;
+  {
+    svc::Service service(small_service(kActive));
+    for (std::size_t i = 0; i < 3 * kActive; ++i) ids.push_back(service.submit(halo_spec()));
+  }
+  obs::Registry& reg = obs::Registry::instance();
+  for (std::uint64_t id : ids) {
+    std::uint64_t state = 0;
+    ASSERT_TRUE(reg.value("job." + std::to_string(id) + ".state", state)) << "job " << id;
+    EXPECT_EQ(state, static_cast<std::uint64_t>(svc::JobState::succeeded)) << "job " << id;
+  }
+}
+
 TEST(Service, PerJobCounterNamespacesAreIsolated) {
   obs::Registry& reg = obs::Registry::instance();
   svc::Service service(small_service(2));
