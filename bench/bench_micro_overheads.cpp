@@ -6,7 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <vector>
 
+#include "apps/himeno/himeno.hpp"
 #include "ocl/context.hpp"
 #include "ocl/platform.hpp"
 #include "ocl/queue.hpp"
@@ -105,6 +107,26 @@ void BM_KernelLaunch(benchmark::State& state) {
   queue->finish(clock);
 }
 BENCHMARK(BM_KernelLaunch)->Iterations(50000);
+
+// The OpenCL kernel-body layer: one Himeno M half-domain (16 planes of
+// 256 x 768) per iteration through the Jacobi sweep every variant's kernel
+// runs. Items are updated cells, so the rate reads in cells/s.
+void BM_HimenoJacobiSweep(benchmark::State& state) {
+  constexpr std::size_t kPlanes = 16, J = 256, K = 768;
+  Rng rng(42);
+  std::vector<float> src((kPlanes + 2) * J * K);
+  for (float& v : src) v = static_cast<float>(rng.uniform(0.0, 1.0));
+  std::vector<float> dst(src.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        apps::himeno::detail::jacobi_sweep(src, dst, 1, kPlanes, J, K));
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kPlanes * (J - 2) * (K - 2)));
+}
+BENCHMARK(BM_HimenoJacobiSweep)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,9 +1,12 @@
 #include "apps/himeno/himeno.hpp"
 
+#include <algorithm>
 #include <array>
-#include <utility>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "clmpi/runtime.hpp"
@@ -27,45 +30,42 @@ constexpr float kC0 = 1.0f, kC1 = 1.0f, kC2 = 1.0f;
 constexpr float kBnd = 1.0f, kWrk1 = 0.0f;
 constexpr float kOmega = 0.8f;
 
+/// Four `k` lanes of one row, loaded and stored through memcpy (rows are not
+/// 16-byte aligned).
+constexpr std::size_t kLanes = 4;
+using Lanes = float __attribute__((vector_size(kLanes * sizeof(float))));
+
+Lanes load_lanes(const float* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// The Himeno update of the cell at `c` (V = float) or of the kLanes
+/// consecutive cells starting there (V = Lanes): the same float operations in
+/// the same order, element-wise. `di`/`dj` are the plane and row strides and
+/// `load(p)` reads V from p. Returns ss; the caller adds ss^2 to the residual
+/// and stores src + omega * ss.
+template <typename V, typename Load>
+V stencil(const float* c, std::size_t di, std::size_t dj, Load load) {
+  const float *ip = c + di, *im = c - di, *jp = c + dj, *jm = c - dj;
+  const V s0 = kA0 * load(ip) + kA1 * load(jp) + kA2 * load(c + 1) +
+               kB0 * (load(ip + dj) - load(ip - dj) - load(im + dj) + load(im - dj)) +
+               kB1 * (load(jp + 1) - load(jm + 1) - load(jp - 1) + load(jm - 1)) +
+               kB2 * (load(ip + 1) - load(im + 1) - load(ip - 1) + load(im - 1)) +
+               kC0 * load(im) + kC1 * load(jm) + kC2 * load(c - 1) + kWrk1;
+  return (s0 * kA3 - load(c)) * kBnd;
+}
+
 /// The Jacobi kernel: dst[i] = src[i] + omega * ss over planes
-/// [i_begin, i_end], accumulating sum(ss^2) into gosa[slot].
+/// [i_begin, i_end], storing sum(ss^2) into gosa[slot].
 /// Args: 0 src, 1 dst, 2 gosa, 3 i_begin, 4 i_end, 5 J, 6 K, 7 slot.
 void jacobi_body(const ocl::NDRange&, const ocl::KernelArgs& args) {
-  auto src = args.span_of<float>(0);
-  auto dst = args.span_of<float>(1);
   auto gosa = args.span_of<double>(2);
-  const auto i_begin = static_cast<std::size_t>(args.integer(3));
-  const auto i_end = static_cast<std::size_t>(args.integer(4));
-  const auto J = static_cast<std::size_t>(args.integer(5));
-  const auto K = static_cast<std::size_t>(args.integer(6));
-  const auto slot = static_cast<std::size_t>(args.integer(7));
-
-  const auto at = [J, K](std::size_t i, std::size_t j, std::size_t k) {
-    return (i * J + j) * K + k;
-  };
-
-  double acc = 0.0;
-  for (std::size_t i = i_begin; i <= i_end; ++i) {
-    for (std::size_t j = 1; j + 1 < J; ++j) {
-      for (std::size_t k = 1; k + 1 < K; ++k) {
-        const float s0 =
-            kA0 * src[at(i + 1, j, k)] + kA1 * src[at(i, j + 1, k)] +
-            kA2 * src[at(i, j, k + 1)] +
-            kB0 * (src[at(i + 1, j + 1, k)] - src[at(i + 1, j - 1, k)] -
-                   src[at(i - 1, j + 1, k)] + src[at(i - 1, j - 1, k)]) +
-            kB1 * (src[at(i, j + 1, k + 1)] - src[at(i, j - 1, k + 1)] -
-                   src[at(i, j + 1, k - 1)] + src[at(i, j - 1, k - 1)]) +
-            kB2 * (src[at(i + 1, j, k + 1)] - src[at(i - 1, j, k + 1)] -
-                   src[at(i + 1, j, k - 1)] + src[at(i - 1, j, k - 1)]) +
-            kC0 * src[at(i - 1, j, k)] + kC1 * src[at(i, j - 1, k)] +
-            kC2 * src[at(i, j, k - 1)] + kWrk1;
-        const float ss = (s0 * kA3 - src[at(i, j, k)]) * kBnd;
-        acc += static_cast<double>(ss) * static_cast<double>(ss);
-        dst[at(i, j, k)] = src[at(i, j, k)] + kOmega * ss;
-      }
-    }
-  }
-  gosa[slot] = acc;
+  gosa[static_cast<std::size_t>(args.integer(7))] = detail::jacobi_sweep(
+      args.span_of<float>(0), args.span_of<float>(1), static_cast<std::size_t>(args.integer(3)),
+      static_cast<std::size_t>(args.integer(4)), static_cast<std::size_t>(args.integer(5)),
+      static_cast<std::size_t>(args.integer(6)));
 }
 
 /// Per-rank state shared by the three implementations.
@@ -383,6 +383,49 @@ void iterate_clmpi(mpi::Rank& rank, Grid& g) {
 }
 
 }  // namespace
+
+double detail::jacobi_sweep(std::span<const float> src, std::span<float> dst,
+                            std::size_t i_begin, std::size_t i_end, std::size_t J,
+                            std::size_t K) {
+  CLMPI_REQUIRE(1 <= i_begin && i_begin <= i_end, "sweep planes must satisfy 1 <= begin <= end");
+  CLMPI_REQUIRE(J >= 3 && K >= 3, "grid too small");
+  // (i_end + 2) * J * K <= both sizes, written so that nothing can wrap.
+  const std::size_t cap = std::min(src.size(), dst.size());
+  CLMPI_REQUIRE(K <= cap && J <= cap / K && i_end < cap / (J * K) - 1,
+                "sweep exceeds its buffers");
+  // In place, a lane would read neighbours the scalar order already updated.
+  const std::less<const float*> before;
+  CLMPI_REQUIRE(!before(dst.data(), src.data() + src.size()) ||
+                    !before(src.data(), dst.data() + dst.size()),
+                "sweep source and destination overlap");
+
+  double acc = 0.0;
+  for (std::size_t i = i_begin; i <= i_end; ++i) {
+    for (std::size_t j = 1; j + 1 < J; ++j) {
+      const std::size_t row = (i * J + j) * K;
+      const float* in = src.data() + row;
+      float* out = dst.data() + row;
+      std::size_t k = 1;
+      for (; k + kLanes < K; k += kLanes) {
+        const Lanes ss =
+            stencil<Lanes>(in + k, J * K, K, [](const float* p) { return load_lanes(p); });
+        // Ascending k, one lane at a time: the scalar loop's summation order.
+        acc += static_cast<double>(ss[0]) * static_cast<double>(ss[0]);
+        acc += static_cast<double>(ss[1]) * static_cast<double>(ss[1]);
+        acc += static_cast<double>(ss[2]) * static_cast<double>(ss[2]);
+        acc += static_cast<double>(ss[3]) * static_cast<double>(ss[3]);
+        const Lanes next = load_lanes(in + k) + kOmega * ss;
+        std::memcpy(out + k, &next, sizeof next);
+      }
+      for (; k + 1 < K; ++k) {
+        const float ss = stencil<float>(in + k, J * K, K, [](const float* p) { return *p; });
+        acc += static_cast<double>(ss) * static_cast<double>(ss);
+        out[k] = in[k] + kOmega * ss;
+      }
+    }
+  }
+  return acc;
+}
 
 const char* to_string(Variant v) noexcept {
   switch (v) {

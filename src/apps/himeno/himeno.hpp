@@ -10,7 +10,10 @@
 //
 // Three implementations with *identical numerics* (bit-equal per-rank
 // stencil evaluation order, pure Jacobi: all reads from the previous
-// iteration's array):
+// iteration's array). The kernel body evaluates four cells of a row at once
+// in SIMD lanes and keeps identical numerics too: each lane performs the
+// scalar cell's float operations in the same order, nothing is contracted
+// into FMAs, and the residual is summed in ascending cell order.
 //
 //  * serial         — kernel, D2H halo read, MPI exchange, H2D halo write,
 //                     all blocking (Figure 1 style). The lower bound.
@@ -29,6 +32,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "simmpi/cluster.hpp"
@@ -103,5 +107,19 @@ struct RunSummary {
 };
 RunSummary run_cluster(const sys::SystemProfile& profile, int nranks, const Config& config,
                        vt::Tracer* tracer = nullptr);
+
+namespace detail {
+
+/// The Jacobi kernel body: for every interior cell (i, j, k) of planes
+/// [i_begin, i_end] of a row-major (planes x J x K) grid, dst = src + omega *
+/// ss, where ss is the 19-point residual read from `src`. Returns the sum of
+/// ss^2 in double, accumulated in (i, j, k) order. Cells outside the interior
+/// (j or k on the grid edge, other planes) are left untouched. Throws
+/// PreconditionError unless 1 <= i_begin <= i_end, J, K >= 3, both spans
+/// hold (i_end + 2) * J * K floats and the spans do not overlap.
+double jacobi_sweep(std::span<const float> src, std::span<float> dst, std::size_t i_begin,
+                    std::size_t i_end, std::size_t J, std::size_t K);
+
+}  // namespace detail
 
 }  // namespace clmpi::apps::himeno

@@ -4,11 +4,17 @@
 // says it does.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "apps/himeno/himeno.hpp"
 #include "apps/nanopowder/nanopowder.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace clmpi::apps {
 namespace {
@@ -113,6 +119,140 @@ TEST(Himeno, VariantNames) {
   EXPECT_STREQ(himeno::to_string(himeno::Variant::serial), "serial");
   EXPECT_STREQ(himeno::to_string(himeno::Variant::hand_optimized), "hand-optimized");
   EXPECT_STREQ(himeno::to_string(himeno::Variant::clmpi), "clMPI");
+}
+
+TEST(Himeno, ResidualIsPinned) {
+  // The residual every variant computed before the kernel body was
+  // vectorized; a SIMD lane or summation-order slip changes these bits.
+  constexpr double kPinned = 0x1.3f469768cd9e8p-8;
+  for (const int P : {1, 2, 4}) {
+    for (const auto v : {himeno::Variant::serial, himeno::Variant::hand_optimized,
+                         himeno::Variant::clmpi}) {
+      SCOPED_TRACE(testing::Message() << "P=" << P << " " << himeno::to_string(v));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(himeno::run_cluster(sys::cichlid(), P,
+                                                                  small_himeno(v))
+                                                 .gosa),
+                std::bit_cast<std::uint64_t>(kPinned));
+    }
+  }
+}
+
+// --- Himeno kernel body -------------------------------------------------------------
+
+// The scalar Jacobi loop the SIMD sweep replaced, kept verbatim as the
+// reference the sweep must match bit for bit (this file is built with
+// -ffp-contract=off, like the kernel).
+double scalar_jacobi(std::span<const float> src, std::span<float> dst, std::size_t i_begin,
+                     std::size_t i_end, std::size_t J, std::size_t K) {
+  constexpr float kA0 = 1.0f, kA1 = 1.0f, kA2 = 1.0f, kA3 = 1.0f / 6.0f;
+  constexpr float kB0 = 0.0f, kB1 = 0.0f, kB2 = 0.0f;
+  constexpr float kC0 = 1.0f, kC1 = 1.0f, kC2 = 1.0f;
+  constexpr float kBnd = 1.0f, kWrk1 = 0.0f;
+  constexpr float kOmega = 0.8f;
+
+  const auto at = [J, K](std::size_t i, std::size_t j, std::size_t k) {
+    return (i * J + j) * K + k;
+  };
+
+  double acc = 0.0;
+  for (std::size_t i = i_begin; i <= i_end; ++i) {
+    for (std::size_t j = 1; j + 1 < J; ++j) {
+      for (std::size_t k = 1; k + 1 < K; ++k) {
+        const float s0 =
+            kA0 * src[at(i + 1, j, k)] + kA1 * src[at(i, j + 1, k)] +
+            kA2 * src[at(i, j, k + 1)] +
+            kB0 * (src[at(i + 1, j + 1, k)] - src[at(i + 1, j - 1, k)] -
+                   src[at(i - 1, j + 1, k)] + src[at(i - 1, j - 1, k)]) +
+            kB1 * (src[at(i, j + 1, k + 1)] - src[at(i, j - 1, k + 1)] -
+                   src[at(i, j + 1, k - 1)] + src[at(i, j - 1, k - 1)]) +
+            kB2 * (src[at(i + 1, j, k + 1)] - src[at(i - 1, j, k + 1)] -
+                   src[at(i + 1, j, k - 1)] + src[at(i - 1, j, k - 1)]) +
+            kC0 * src[at(i - 1, j, k)] + kC1 * src[at(i, j - 1, k)] +
+            kC2 * src[at(i, j, k - 1)] + kWrk1;
+        const float ss = (s0 * kA3 - src[at(i, j, k)]) * kBnd;
+        acc += static_cast<double>(ss) * static_cast<double>(ss);
+        dst[at(i, j, k)] = src[at(i, j, k)] + kOmega * ss;
+      }
+    }
+  }
+  return acc;
+}
+
+/// Seeded cell values that differ per cell and include the float corner
+/// cases an arithmetic slip would show on: signed zeros, subnormals, wide
+/// magnitudes and negatives.
+std::vector<float> random_cells(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> cells(n);
+  for (float& c : cells) {
+    switch (rng.below(8)) {
+      case 0: c = 0.0f; break;
+      case 1: c = -0.0f; break;
+      case 2: c = static_cast<float>(rng.uniform(-1.0, 1.0)) * 0x1p-130f; break;  // subnormal
+      case 3: c = static_cast<float>(rng.uniform(-1e6, 1e6)); break;
+      default: c = static_cast<float>(rng.uniform(-2.0, 2.0)); break;
+    }
+  }
+  return cells;
+}
+
+TEST(HimenoKernel, SweepMatchesScalarReferenceBitForBit) {
+  constexpr std::size_t kPlanes = 6;  // interior planes 1..4
+  const std::pair<std::size_t, std::size_t> ranges[] = {{1, 1}, {1, 4}, {2, 3}, {4, 4}};
+  std::vector<std::size_t> ks;
+  for (std::size_t k = 3; k <= 13; ++k) ks.push_back(k);
+  ks.push_back(20);
+  ks.push_back(768);
+  std::uint64_t seed = 1;
+  for (const std::size_t K : ks) {
+    for (const std::size_t J : {std::size_t{3}, std::size_t{4}, std::size_t{7}}) {
+      for (const auto& [i_begin, i_end] : ranges) {
+        SCOPED_TRACE(testing::Message() << "K=" << K << " J=" << J << " planes [" << i_begin
+                                        << ", " << i_end << "]");
+        const std::size_t n = kPlanes * J * K;
+        const auto src = random_cells(n, ++seed);
+        // Both destinations start from the same non-zero bytes, so a stray
+        // write to a boundary cell shows in the comparison.
+        const auto initial = random_cells(n, ++seed);
+        auto expected = initial;
+        auto actual = initial;
+
+        const double want = scalar_jacobi(src, expected, i_begin, i_end, J, K);
+        const double got = himeno::detail::jacobi_sweep(src, actual, i_begin, i_end, J, K);
+
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want));
+        EXPECT_EQ(std::memcmp(actual.data(), expected.data(), n * sizeof(float)), 0);
+      }
+    }
+  }
+}
+
+TEST(HimenoKernel, SweepRejectsBadArguments) {
+  constexpr std::size_t J = 4, K = 8;
+  std::vector<float> a(4 * J * K, 1.0f), b(a.size(), 1.0f);
+  const std::span<const float> src(a);
+  EXPECT_NO_THROW((void)himeno::detail::jacobi_sweep(src, b, 1, 2, J, K));
+  // Plane order, grid size and buffer extent.
+  EXPECT_THROW((void)himeno::detail::jacobi_sweep(src, b, 0, 2, J, K), PreconditionError);
+  EXPECT_THROW((void)himeno::detail::jacobi_sweep(src, b, 2, 1, J, K), PreconditionError);
+  EXPECT_THROW((void)himeno::detail::jacobi_sweep(src, b, 1, 2, 2, K), PreconditionError);
+  EXPECT_THROW((void)himeno::detail::jacobi_sweep(src, b, 1, 2, J, 2), PreconditionError);
+  EXPECT_THROW((void)himeno::detail::jacobi_sweep(src, b, 1, 3, J, K), PreconditionError);
+  EXPECT_THROW((void)himeno::detail::jacobi_sweep(src, std::span(b).first(b.size() - 1), 1, 2,
+                                                  J, K),
+               PreconditionError);
+  EXPECT_THROW((void)himeno::detail::jacobi_sweep(src, b, 1, SIZE_MAX - 1, J, K),
+               PreconditionError);
+  // In place, or overlapping by a single cell.
+  EXPECT_THROW((void)himeno::detail::jacobi_sweep(src, a, 1, 2, J, K), PreconditionError);
+  std::vector<float> both(2 * a.size());
+  EXPECT_THROW((void)himeno::detail::jacobi_sweep(std::span<const float>(both).first(a.size()),
+                                                  std::span(both).subspan(a.size() - 1, a.size()),
+                                                  1, 2, J, K),
+               PreconditionError);
+  EXPECT_NO_THROW((void)himeno::detail::jacobi_sweep(
+      std::span<const float>(both).first(a.size()), std::span(both).subspan(a.size()), 1, 2, J,
+      K));
 }
 
 // --- nanopowder -------------------------------------------------------------------
